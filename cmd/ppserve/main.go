@@ -62,6 +62,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/serving"
 	"repro/internal/statestore"
+	"repro/internal/tensor"
 )
 
 // flagSet carries every ppserve flag through validation.
@@ -374,8 +375,8 @@ func main() {
 			st.updatesRun = proc.UpdatesRun
 			st.pendingLeft = proc.Pending
 			if announce {
-				fmt.Printf("serving stack: %d worker lanes, batch %d, infer-batch %d, precision %s\n",
-					proc.Workers(), maxInt(*batch, 1), maxInt(*inferBatch, 1), tier)
+				fmt.Printf("serving stack: %d worker lanes, batch %d, infer-batch %d, precision %s, kernel %s\n",
+					proc.Workers(), maxInt(*batch, 1), maxInt(*inferBatch, 1), tier, tensor.KernelF64())
 			}
 		} else {
 			if st.store == nil {
@@ -398,7 +399,7 @@ func main() {
 			st.pendingLeft = proc.Pending
 			if announce {
 				if *inferBatch > 1 {
-					fmt.Printf("serving stack: sequential, infer-batch %d, precision %s\n", *inferBatch, tier)
+					fmt.Printf("serving stack: sequential, infer-batch %d, precision %s, kernel %s\n", *inferBatch, tier, tensor.KernelF64())
 				} else {
 					fmt.Printf("serving stack: sequential (in-line updates), precision %s\n", tier)
 				}
@@ -674,8 +675,8 @@ func runServer(addr string, model *core.Model, thr float64, lifecycle bool, ssOp
 		}()
 		fmt.Printf("wire protocol on %s\n", wl.Addr())
 	}
-	fmt.Printf("serving on %s (lanes=%d max-batch=%d max-wait=%s lane-depth=%d precision=%s)\n",
-		addr, cfg.lanes, cfg.maxBatch, cfg.maxWait, cfg.laneDepth, cfg.precision)
+	fmt.Printf("serving on %s (lanes=%d max-batch=%d max-wait=%s lane-depth=%d precision=%s kernel=%s)\n",
+		addr, cfg.lanes, cfg.maxBatch, cfg.maxWait, cfg.laneDepth, cfg.precision, tensor.KernelF64())
 	if err := srv.ListenAndServe(addr); err != nil {
 		fmt.Fprintf(os.Stderr, "ppserve: %v\n", err)
 		os.Exit(1)

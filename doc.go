@@ -14,7 +14,9 @@
 //   - internal/core — the paper's model and training procedure (§6-7)
 //   - internal/{tensor,nn,opt} — the neural-network substrate (PyTorch
 //     stand-in); a two-tier precision architecture: f64 reference kernels
-//     (bit-exact, single-accumulator chains) plus an f32 fast tier
+//     (bit-exact, single-accumulator chains; a feature-detected AVX2
+//     GEMM micro-kernel on amd64 that reproduces the portable Go kernel
+//     bit-for-bit) plus an f32 fast tier
 //     (4-lane accumulation contract, SSE micro-kernel on amd64, fused
 //     GRU gate epilogues) selected through nn.PrecisionTier
 //   - internal/{baselines,gbdt,features} — the traditional models and the

@@ -29,7 +29,7 @@ import (
 type HotPath struct {
 	// Pkg is the module-relative package directory, e.g. "internal/tensor".
 	Pkg string
-	// Func is the function as rendered by FuncName: "microNN4x4",
+	// Func is the function as rendered by FuncName: "microNT4x4",
 	// "(*Matrix).MulVec", "Vector.Sum".
 	Func string
 	// Allow lists substrings of escape messages accepted as baseline.

@@ -13,7 +13,7 @@ import (
 func TestParseConfig(t *testing.T) {
 	conf := `
 # comment
-internal/tensor microNN4x4
+internal/tensor microNT4x4
 internal/statestore (*Store).Put
 	allow &entry{...} escapes to heap
 	allow moved to heap: scratch
@@ -25,7 +25,7 @@ internal/statestore (*Store).Put
 	if len(hot) != 2 {
 		t.Fatalf("got %d pins, want 2: %+v", len(hot), hot)
 	}
-	if hot[0].Pkg != "internal/tensor" || hot[0].Func != "microNN4x4" || len(hot[0].Allow) != 0 {
+	if hot[0].Pkg != "internal/tensor" || hot[0].Func != "microNT4x4" || len(hot[0].Allow) != 0 {
 		t.Errorf("pin 0 = %+v", hot[0])
 	}
 	if hot[1].Func != "(*Store).Put" || len(hot[1].Allow) != 2 || hot[1].Allow[0] != "&entry{...} escapes to heap" {
@@ -40,7 +40,7 @@ func TestParseConfigRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
 		"\tallow orphaned baseline line\n",
 		"internal/tensor\n",
-		"internal/tensor microNN4x4 extra\n",
+		"internal/tensor microNT4x4 extra\n",
 	} {
 		if _, err := ParseConfig([]byte(bad)); err == nil {
 			t.Errorf("ParseConfig(%q): expected error", bad)
@@ -51,7 +51,7 @@ func TestParseConfigRejectsMalformed(t *testing.T) {
 func TestParseBuildOutput(t *testing.T) {
 	out := strings.Join([]string{
 		"# repro/internal/tensor",
-		"internal/tensor/gemm.go:133:6: can inline microNN4x4",
+		"internal/tensor/gemm.go:133:6: can inline microNT4x4",
 		"internal/tensor/tensor.go:232:52: func literal escapes to heap",
 		"internal/statestore/statestore.go:280:7: &entry{...} escapes to heap",
 		"internal/statestore/wal.go:41:10: moved to heap: buf",

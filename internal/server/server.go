@@ -41,6 +41,7 @@ import (
 	"repro/internal/replication"
 	"repro/internal/serving"
 	"repro/internal/statestore"
+	"repro/internal/tensor"
 )
 
 // Event is one stream event in the HTTP API (and the unit of the replay
@@ -88,6 +89,7 @@ type Statz struct {
 	Batches         int64                      `json:"batches"`
 	MeanBatch       float64                    `json:"mean_batch"`
 	Precision       string                     `json:"precision"`
+	Kernel          string                     `json:"kernel"` // f64 GEMM kernel the CPU selected: "avx2" or "go"
 	Store           serving.Stats              `json:"store"`
 	Lifecycle       *statestore.LifecycleStats `json:"lifecycle,omitempty"`
 }
@@ -776,6 +778,7 @@ func (s *Server) Stats() Statz {
 		Inflight:        inflight,
 		Batches:         s.batches.Load(),
 		Precision:       s.opts.Precision.String(),
+		Kernel:          tensor.KernelF64(),
 		Store:           s.opts.Store.Stats(),
 	}
 	if st.Batches > 0 {

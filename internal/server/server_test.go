@@ -17,6 +17,7 @@ import (
 	"repro/internal/serving"
 	"repro/internal/statestore"
 	"repro/internal/synth"
+	"repro/internal/tensor"
 )
 
 func testModel(t *testing.T, hidden int) *core.Model {
@@ -466,6 +467,9 @@ func TestHTTPReplayF32TierParity(t *testing.T) {
 	resp.Body.Close()
 	if stz.Precision != "f32" {
 		t.Fatalf("/statz precision = %q, want f32", stz.Precision)
+	}
+	if stz.Kernel != tensor.KernelF64() {
+		t.Fatalf("/statz kernel = %q, want %q", stz.Kernel, tensor.KernelF64())
 	}
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)

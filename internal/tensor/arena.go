@@ -6,8 +6,8 @@ package tensor
 // after the first batch at a given shape allocates nothing at all.
 //
 // Returned buffers are valid until the next Reset and their contents are
-// unspecified (callers overwrite every element; MulMat and friends zero
-// their destinations themselves). Matrix headers are pooled alongside the
+// unspecified (callers overwrite every element; MulMatT overwrites its
+// destination itself). Matrix headers are pooled alongside the
 // float64 slab, so Arena.Matrix is allocation-free at steady state too.
 //
 // An Arena is not safe for concurrent use; give each worker its own, like

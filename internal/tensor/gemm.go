@@ -1,33 +1,41 @@
 package tensor
 
-// Cache-blocked GEMM kernels for the batched inference path.
+// Cache-blocked NT GEMM for the batched inference path.
 //
 // The serving tier batches B session finalisations into matrix-matrix
 // products so the 3h×d GRU weight matrices are streamed from memory once
 // per step instead of once per session — the classic fix for the
-// memory-bound matrix-vector regime. Two kernel families are provided:
+// memory-bound matrix-vector regime. One product is provided,
 //
-//   - MulMat / MulMatAdd:   dst = (+=) m · other        (NN)
-//   - MulMatT / MulMatTAdd: dst = (+=) m · otherᵀ       (NT)
+//	MulMatT: dst = m · otherᵀ       (NT)
 //
-// The NT form is the serving workhorse: weights are stored row-major as
-// (out × in), and a row-major (B × in) panel of packed inputs times the
-// transposed weight gives a (B × out) panel of gate pre-activations with
-// fully contiguous inner loops on both operands.
+// because weights are stored row-major as (out × in): a row-major (B × in)
+// panel of packed inputs times the transposed weight gives a (B × out)
+// panel of gate pre-activations with fully contiguous inner loops on both
+// operands.
 //
 // Bit-exactness contract: every output element is accumulated strictly in
-// ascending k with a single accumulator chain, exactly like MulVec's inner
-// loop. Cache blocking over k spills the running partial sum to dst between
-// blocks — a float64 round-trip through memory is exact — and the 4×4
-// register-tiled micro-kernel keeps one independent accumulator per output
-// element, never a split/pairwise reduction. Batched GRU states are
-// therefore bit-identical to the per-session MulVec path, which the serving
-// equivalence tests pin down.
+// ascending k with a single accumulator chain that starts at +0, exactly
+// like MulVecDense's inner loop, with a separately rounded multiply and add
+// per term (no FMA). Batched GRU states are therefore bit-identical to the
+// per-session MulVec path, which the serving equivalence tests pin down.
+//
+// Two kernels implement the contract. The pure-Go one in this file is the
+// portable definition: cache blocking over k spills the running partial sum
+// to dst between blocks — a float64 round-trip through memory is exact —
+// and the 4×4 register-tiled micro-kernel keeps one independent accumulator
+// per output element, never a split/pairwise reduction. On amd64 with AVX2
+// (gemm_amd64.go) full 6-column tiles go through an assembly micro-kernel
+// whose vector lanes are different output elements, so the vector width
+// cannot change any element's chain; the Go kernel keeps the ragged N%6
+// columns, non-AVX2 machines and every other GOARCH.
 
-// Blocking parameters. The k and column blocks are sized so one weight
-// panel (kc × nc float64s ≈ 2·10⁵ B) stays L2-resident while row panels
-// stream through; the 4×4 micro-tile keeps 16 accumulators live, which is
-// comfortably within the 16 SSE2/NEON callee registers Go allocates.
+// Blocking parameters of the Go kernel. The k and column blocks are sized
+// so one weight panel (kc × nc float64s ≈ 2·10⁵ B) stays L2-resident while
+// row panels stream through; the 4×4 micro-tile keeps 16 scalar
+// accumulators live — amd64 has 16 XMM registers, so the compiler spills a
+// few operands per k, which is part of why this kernel runs at a fraction
+// of the machine's mul+add peak.
 const (
 	gemmMC = 64  // row cache block
 	gemmKC = 256 // k-dimension cache block
@@ -56,24 +64,6 @@ func (m *Matrix) MostlySparse() bool {
 	return true
 }
 
-// MulMat computes dst = m · other. dst must be m.Rows × other.Cols and is
-// overwritten; it must not alias m or other.
-func (m *Matrix) MulMat(dst, other *Matrix) {
-	checkLen("Matrix.MulMat inner", m.Cols, other.Rows)
-	checkLen("Matrix.MulMat rows", dst.Rows, m.Rows)
-	checkLen("Matrix.MulMat cols", dst.Cols, other.Cols)
-	dst.Zero()
-	gemmNN(dst, m, other)
-}
-
-// MulMatAdd computes dst += m · other.
-func (m *Matrix) MulMatAdd(dst, other *Matrix) {
-	checkLen("Matrix.MulMatAdd inner", m.Cols, other.Rows)
-	checkLen("Matrix.MulMatAdd rows", dst.Rows, m.Rows)
-	checkLen("Matrix.MulMatAdd cols", dst.Cols, other.Cols)
-	gemmNN(dst, m, other)
-}
-
 // MulMatT computes dst = m · otherᵀ. dst must be m.Rows × other.Rows and is
 // overwritten; it must not alias m or other. Both operands are traversed
 // row-contiguously, so this is the preferred form when the right-hand side
@@ -82,121 +72,21 @@ func (m *Matrix) MulMatT(dst, other *Matrix) {
 	checkLen("Matrix.MulMatT inner", m.Cols, other.Cols)
 	checkLen("Matrix.MulMatT rows", dst.Rows, m.Rows)
 	checkLen("Matrix.MulMatT cols", dst.Cols, other.Rows)
-	dst.Zero()
 	gemmNT(dst, m, other)
 }
 
-// MulMatTAdd computes dst += m · otherᵀ.
-func (m *Matrix) MulMatTAdd(dst, other *Matrix) {
-	checkLen("Matrix.MulMatTAdd inner", m.Cols, other.Cols)
-	checkLen("Matrix.MulMatTAdd rows", dst.Rows, m.Rows)
-	checkLen("Matrix.MulMatTAdd cols", dst.Cols, other.Rows)
-	gemmNT(dst, m, other)
-}
-
-// gemmNN accumulates dst += a · b with cache blocking and a 4×4
-// register-tiled micro-kernel.
-func gemmNN(dst, a, b *Matrix) {
-	M, K, N := a.Rows, a.Cols, b.Cols
-	for jc := 0; jc < N; jc += gemmNC {
-		nc := min(gemmNC, N-jc)
-		for kc := 0; kc < K; kc += gemmKC {
-			kb := min(gemmKC, K-kc)
-			for ic := 0; ic < M; ic += gemmMC {
-				mc := min(gemmMC, M-ic)
-				gemmNNBlock(dst, a, b, ic, jc, kc, mc, nc, kb)
-			}
-		}
-	}
-}
-
-// gemmNNBlock computes dst[ic:ic+mc, jc:jc+nc] += a[ic:, kc:kc+kb] · b[kc:, jc:].
-func gemmNNBlock(dst, a, b *Matrix, ic, jc, kc, mc, nc, kb int) {
-	i := 0
-	for ; i+4 <= mc; i += 4 {
-		j := 0
-		for ; j+4 <= nc; j += 4 {
-			microNN4x4(dst, a, b, ic+i, jc+j, kc, kb)
-		}
-		if j < nc {
-			gemmNNEdge(dst, a, b, ic+i, 4, jc+j, nc-j, kc, kb)
-		}
-	}
-	if i < mc {
-		gemmNNEdge(dst, a, b, ic+i, mc-i, jc, nc, kc, kb)
-	}
-}
-
-// microNN4x4 computes the 4×4 tile dst[i0:i0+4, j0:j0+4] += Σ_k a·b over
-// k ∈ [kc, kc+kb). The 16 accumulators are loaded from dst so the per-element
-// accumulation chain stays strictly k-ordered across k-blocks.
-func microNN4x4(dst, a, b *Matrix, i0, j0, kc, kb int) {
-	ld, la, lb := dst.Cols, a.Cols, b.Cols
-	d0 := dst.Data[(i0+0)*ld+j0 : (i0+0)*ld+j0+4 : (i0+0)*ld+j0+4]
-	d1 := dst.Data[(i0+1)*ld+j0 : (i0+1)*ld+j0+4 : (i0+1)*ld+j0+4]
-	d2 := dst.Data[(i0+2)*ld+j0 : (i0+2)*ld+j0+4 : (i0+2)*ld+j0+4]
-	d3 := dst.Data[(i0+3)*ld+j0 : (i0+3)*ld+j0+4 : (i0+3)*ld+j0+4]
-	c00, c01, c02, c03 := d0[0], d0[1], d0[2], d0[3]
-	c10, c11, c12, c13 := d1[0], d1[1], d1[2], d1[3]
-	c20, c21, c22, c23 := d2[0], d2[1], d2[2], d2[3]
-	c30, c31, c32, c33 := d3[0], d3[1], d3[2], d3[3]
-	a0 := a.Data[(i0+0)*la+kc : (i0+0)*la+kc+kb : (i0+0)*la+kc+kb]
-	a1 := a.Data[(i0+1)*la+kc : (i0+1)*la+kc+kb : (i0+1)*la+kc+kb]
-	a2 := a.Data[(i0+2)*la+kc : (i0+2)*la+kc+kb : (i0+2)*la+kc+kb]
-	a3 := a.Data[(i0+3)*la+kc : (i0+3)*la+kc+kb : (i0+3)*la+kc+kb]
-	for k := 0; k < kb; k++ {
-		brow := b.Data[(kc+k)*lb+j0 : (kc+k)*lb+j0+4 : (kc+k)*lb+j0+4]
-		b0, b1, b2, b3 := brow[0], brow[1], brow[2], brow[3]
-		av := a0[k]
-		c00 += av * b0
-		c01 += av * b1
-		c02 += av * b2
-		c03 += av * b3
-		av = a1[k]
-		c10 += av * b0
-		c11 += av * b1
-		c12 += av * b2
-		c13 += av * b3
-		av = a2[k]
-		c20 += av * b0
-		c21 += av * b1
-		c22 += av * b2
-		c23 += av * b3
-		av = a3[k]
-		c30 += av * b0
-		c31 += av * b1
-		c32 += av * b2
-		c33 += av * b3
-	}
-	d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
-	d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
-	d2[0], d2[1], d2[2], d2[3] = c20, c21, c22, c23
-	d3[0], d3[1], d3[2], d3[3] = c30, c31, c32, c33
-}
-
-// gemmNNEdge handles the ragged rows/columns a 4×4 tile cannot cover, with
-// the same single-accumulator k-order per element.
-func gemmNNEdge(dst, a, b *Matrix, i0, ni, j0, nj, kc, kb int) {
-	for i := i0; i < i0+ni; i++ {
-		arow := a.Data[i*a.Cols+kc : i*a.Cols+kc+kb]
-		drow := dst.Data[i*dst.Cols+j0 : i*dst.Cols+j0+nj]
-		for j := range drow {
-			acc := drow[j]
-			for k, av := range arow {
-				acc += av * b.Data[(kc+k)*b.Cols+j0+j]
-			}
-			drow[j] = acc
-		}
-	}
-}
-
-// gemmNT accumulates dst += a · bᵀ (a: M×K, b: N×K, dst: M×N) with cache
-// blocking and a 4×4 micro-kernel of contiguous dot products.
-func gemmNT(dst, a, b *Matrix) {
+// gemmNTGo is the portable kernel: it computes dst[:, j0:] = a · b[j0:, :]ᵀ
+// (a: M×K, b: N×K, dst: M×N) with cache blocking and a 4×4 micro-kernel of
+// contiguous dot products. The columns are zeroed first because the
+// k-blocked tiles accumulate into dst.
+func gemmNTGo(dst, a, b *Matrix, j0 int) {
 	M, K, N := a.Rows, a.Cols, b.Rows
+	for i := 0; i < M; i++ {
+		clear(dst.Data[i*N+j0 : (i+1)*N])
+	}
 	for kc := 0; kc < K; kc += gemmKC {
 		kb := min(gemmKC, K-kc)
-		for jc := 0; jc < N; jc += gemmNC {
+		for jc := j0; jc < N; jc += gemmNC {
 			nc := min(gemmNC, N-jc)
 			for ic := 0; ic < M; ic += gemmMC {
 				mc := min(gemmMC, M-ic)

@@ -2,23 +2,10 @@ package tensor
 
 import (
 	"fmt"
+	"math"
+	"sync"
 	"testing"
 )
-
-// refMulMat is the k-ordered reference GEMM: one accumulator per element,
-// terms added in ascending k — the exact contract the blocked kernels
-// promise, so the comparison below is for bit equality, not tolerance.
-func refMulMat(dst, a, b *Matrix) {
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			var s float64
-			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
-			}
-			dst.Set(i, j, s)
-		}
-	}
-}
 
 func randMatrix(rng *RNG, rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
@@ -33,23 +20,6 @@ func randMatrix(rng *RNG, rows, cols int) *Matrix {
 var gemmShapes = []struct{ m, k, n int }{
 	{1, 1, 1}, {3, 5, 2}, {4, 4, 4}, {5, 7, 3}, {8, 16, 8},
 	{17, 33, 9}, {64, 300, 12}, {7, 260, 5}, {130, 13, 70},
-}
-
-func TestMulMatBitIdenticalToReference(t *testing.T) {
-	rng := NewRNG(7)
-	for _, sh := range gemmShapes {
-		a := randMatrix(rng, sh.m, sh.k)
-		b := randMatrix(rng, sh.k, sh.n)
-		want := NewMatrix(sh.m, sh.n)
-		refMulMat(want, a, b)
-		got := NewMatrix(sh.m, sh.n)
-		a.MulMat(got, b)
-		for i, w := range want.Data {
-			if got.Data[i] != w {
-				t.Fatalf("%dx%dx%d: element %d: got %v want %v", sh.m, sh.k, sh.n, i, got.Data[i], w)
-			}
-		}
-	}
 }
 
 func TestMulMatTBitIdenticalToMulVec(t *testing.T) {
@@ -72,57 +42,12 @@ func TestMulMatTBitIdenticalToMulVec(t *testing.T) {
 	}
 }
 
-func TestMulMatAddAccumulates(t *testing.T) {
-	rng := NewRNG(9)
-	a := randMatrix(rng, 9, 21)
-	b := randMatrix(rng, 21, 6)
-	base := randMatrix(rng, 9, 6)
-
-	// The accumulate contract folds each product term into the existing dst
-	// value in ascending k (not dst + full-product, which differs in the
-	// last ulp): mirror that chain in the reference.
-	want := base.Clone()
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			acc := want.At(i, j)
-			for k := 0; k < a.Cols; k++ {
-				acc += a.At(i, k) * b.At(k, j)
-			}
-			want.Set(i, j, acc)
-		}
-	}
-
-	got := base.Clone()
-	a.MulMatAdd(got, b)
-	for i := range got.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("element %d: got %v want %v", i, got.Data[i], want.Data[i])
-		}
-	}
-
-	gotT := base.Clone()
-	bT := NewMatrix(6, 21)
-	for i := 0; i < 21; i++ {
-		for j := 0; j < 6; j++ {
-			bT.Set(j, i, b.At(i, j))
-		}
-	}
-	a.MulMatTAdd(gotT, bT)
-	for i := range gotT.Data {
-		if gotT.Data[i] != want.Data[i] {
-			t.Fatalf("NT element %d: got %v want %v", i, gotT.Data[i], want.Data[i])
-		}
-	}
-}
-
-func TestMulMatShapePanics(t *testing.T) {
+func TestMulMatTShapePanics(t *testing.T) {
 	a := NewMatrix(2, 3)
-	b := NewMatrix(4, 2) // inner mismatch
-	dst := NewMatrix(2, 2)
 	for _, fn := range []func(){
-		func() { a.MulMat(dst, b) },
-		func() { a.MulMatAdd(dst, b) },
 		func() { a.MulMatT(NewMatrix(2, 5), NewMatrix(5, 4)) }, // inner mismatch (4 != 3)
+		func() { a.MulMatT(NewMatrix(3, 5), NewMatrix(5, 3)) }, // dst rows
+		func() { a.MulMatT(NewMatrix(2, 4), NewMatrix(5, 3)) }, // dst cols
 	} {
 		func() {
 			defer func() {
@@ -133,6 +58,125 @@ func TestMulMatShapePanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// specials are the values where a vector kernel is most likely to part
+// from a scalar one: signed zeros, subnormals, infinities, and magnitudes
+// whose products overflow or underflow.
+var specials = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2e-308, math.Inf(1), math.Inf(-1),
+	1e300, -1e300, 1e-300, -1e-300,
+}
+
+// specialMatrix draws normal deviates, replacing about one element in
+// eight with a special value.
+func specialMatrix(rng *RNG, rows, cols int) *Matrix {
+	m := randMatrix(rng, rows, cols)
+	for i := range m.Data {
+		if rng.Intn(8) == 0 {
+			m.Data[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return m
+}
+
+// TestMulMatTMatchesPortableKernel is the property test behind the AVX2
+// micro-kernel: on the same machine, MulMatT (assembly where the CPU has
+// AVX2) and the portable Go kernel must agree in every bit, over shapes
+// ragged in all three dimensions and over values that include ±0,
+// subnormals, ±Inf and overflowing products. A NaN must come out as a NaN;
+// its payload is unspecified. The guard cells behind dst catch a ragged
+// strip or tile storing past the rows and columns it owns.
+func TestMulMatTMatchesPortableKernel(t *testing.T) {
+	if KernelF64() == "go" {
+		t.Skip("no AVX2 kernel on this build or CPU: MulMatT is the portable kernel")
+	}
+	const guard = 16
+	sentinel := math.Float64frombits(0x7ff8dead0000beef)
+	rng := NewRNG(15)
+	for _, K := range []int{1, 3, 128, 279, 300} {
+		for _, N := range []int{1, 5, 6, 7, 96, 192, 384, 385} {
+			w := specialMatrix(rng, N, K)
+			if K == 128 {
+				w = randMatrix(rng, N, K) // one all-finite pass: no NaN masks a wrong lane
+			}
+			for B := 1; B <= 41; B++ {
+				a := specialMatrix(rng, B, K)
+				if K == 128 {
+					a = randMatrix(rng, B, K)
+				}
+				want := NewMatrix(B, N)
+				gemmNTGo(want, a, w, 0)
+				backing := make([]float64, B*N+guard)
+				for i := range backing {
+					backing[i] = sentinel
+				}
+				got := &Matrix{Rows: B, Cols: N, Data: backing[:B*N]}
+				a.MulMatT(got, w)
+				for i, x := range want.Data {
+					g := got.Data[i]
+					if math.IsNaN(x) && math.IsNaN(g) {
+						continue
+					}
+					if math.Float64bits(g) != math.Float64bits(x) {
+						t.Fatalf("B=%d N=%d K=%d element (%d,%d): avx2 %v (%#x) vs go %v (%#x)",
+							B, N, K, i/N, i%N, g, math.Float64bits(g), x, math.Float64bits(x))
+					}
+				}
+				for i, x := range backing[B*N:] {
+					if math.Float64bits(x) != math.Float64bits(sentinel) {
+						t.Fatalf("B=%d N=%d K=%d: guard cell %d behind dst overwritten", B, N, K, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMulMatTSteadyStateAllocs pins the pooled pack strip: after the first
+// call at a shape, MulMatT allocates nothing.
+func TestMulMatTSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts, so the pack strip reallocates")
+	}
+	rng := NewRNG(16)
+	a := randMatrix(rng, 19, 64)
+	w := randMatrix(rng, 193, 64) // ragged strip and a ragged column
+	dst := NewMatrix(19, 193)
+	a.MulMatT(dst, w) // warm the pool
+	if allocs := testing.AllocsPerRun(20, func() { a.MulMatT(dst, w) }); allocs != 0 {
+		t.Fatalf("MulMatT: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestMulMatTConcurrent shares the pack-strip pool between goroutines with
+// different K (so a recycled strip is both too small and too large for its
+// next user); run under -race it checks the pool hand-off, and in any mode
+// that concurrent calls do not disturb each other's results.
+func TestMulMatTConcurrent(t *testing.T) {
+	rng := NewRNG(17)
+	var wg sync.WaitGroup
+	for _, K := range []int{24, 131} {
+		a := randMatrix(rng, 13, K)
+		w := randMatrix(rng, 50, K)
+		want := NewMatrix(13, 50)
+		gemmNTGo(want, a, w, 0)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := NewMatrix(13, 50)
+			for iter := 0; iter < 200; iter++ {
+				a.MulMatT(got, w)
+				for i, x := range want.Data {
+					if got.Data[i] != x {
+						t.Errorf("K=%d iter %d element %d: got %v want %v", K, iter, i, got.Data[i], x)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestMulVecAddMatchesMulVec is the property test pinning the sparse fast

@@ -394,11 +394,6 @@ func (m *Matrix) RankOneAdd(a float64, u, v Vector) {
 	}
 }
 
-// MatMul computes dst = m · other. dst must be Rows×other.Cols and is
-// overwritten; it must not alias m or other. It is the historical name for
-// MulMat, which supplies the cache-blocked kernels.
-func (m *Matrix) MatMul(dst, other *Matrix) { m.MulMat(dst, other) }
-
 // FrobeniusNorm returns the Frobenius norm of m.
 func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64

@@ -227,21 +227,6 @@ func TestRankOneAdd(t *testing.T) {
 	}
 }
 
-func TestMatMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	dst := NewMatrix(2, 2)
-	a.MatMul(dst, b)
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := range want {
-		for j := range want[i] {
-			if dst.At(i, j) != want[i][j] {
-				t.Fatalf("MatMul: got %v, want %v", dst.Data, want)
-			}
-		}
-	}
-}
-
 func TestMatrixAddScaleClone(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := a.Clone()
