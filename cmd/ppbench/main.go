@@ -1,15 +1,14 @@
 // Command ppbench regenerates the paper's tables and figures
-// (see DESIGN.md's per-experiment index), and runs the tracked
-// machine-readable benchmark suites.
+// (see DESIGN.md's per-experiment index), and runs the HTTP-tier load
+// suite. The repo's tracked benchmark is bench/ (go run ./bench).
 //
 // Usage:
 //
 //	ppbench -exp all                 # every experiment, default scale
 //	ppbench -exp table3 -scale quick # one experiment, reduced scale
 //	ppbench -list
-//	ppbench -bench serving -bench-out BENCH_serving.json
 //	ppbench -bench server            # online HTTP tier -> BENCH_server.json
-//	ppbench -bench serving -scale quick   # CI short mode
+//	ppbench -bench server -scale quick    # CI short mode
 package main
 
 import (
@@ -29,8 +28,8 @@ func main() {
 		users    = flag.Int("users", 0, "override MobileTab/Timeshift user count")
 		verbose  = flag.Bool("v", false, "log training progress")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
-		bench    = flag.String("bench", "", "run a tracked benchmark suite instead of experiments (serving | server)")
-		benchOut = flag.String("bench-out", "", "JSON output path for -bench (default BENCH_<suite>.json)")
+		bench    = flag.String("bench", "", "run a benchmark suite instead of experiments (server)")
+		benchOut = flag.String("bench-out", "", "JSON output path for -bench (default BENCH_server.json)")
 	)
 	flag.Parse()
 
@@ -42,28 +41,16 @@ func main() {
 	}
 
 	if *bench != "" {
-		type benchSuite interface {
-			Render() string
-			WriteJSON(path string) error
-		}
-		var suite benchSuite
-		out := *benchOut
-		t0 := time.Now()
-		switch *bench {
-		case "serving":
-			suite = experiments.RunServingBench(*scale == "quick")
-			if out == "" {
-				out = "BENCH_serving.json"
-			}
-		case "server":
-			suite = experiments.RunServerBench(*scale == "quick")
-			if out == "" {
-				out = "BENCH_server.json"
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "ppbench: unknown bench suite %q (have: serving, server)\n", *bench)
+		if *bench != "server" {
+			fmt.Fprintf(os.Stderr, "ppbench: unknown bench suite %q (have: server)\n", *bench)
 			os.Exit(2)
 		}
+		out := *benchOut
+		if out == "" {
+			out = "BENCH_server.json"
+		}
+		t0 := time.Now()
+		suite := experiments.RunServerBench(*scale == "quick")
 		fmt.Println(suite.Render())
 		if err := suite.WriteJSON(out); err != nil {
 			fmt.Fprintf(os.Stderr, "ppbench: writing %s: %v\n", out, err)

@@ -361,7 +361,7 @@ func main() {
 					fmt.Printf("state store: %d-shard in-memory KV\n", sh.NumShards())
 				}
 			}
-			proc, err := serving.NewParallelStreamProcessorTier(model, st.store, *workers, *inferBatch, tier)
+			proc, err := serving.NewParallelStreamProcessor(model, st.store, *workers, *inferBatch, tier)
 			if err != nil {
 				fmt.Printf("ppserve: %v\n", err) // unreachable: gated on SupportsF32 above
 				return nil

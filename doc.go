@@ -23,13 +23,15 @@
 //     feature engineering they need (§5)
 //   - internal/{dataset,synth} — the access-log data model and synthetic
 //     versions of the paper's three datasets (§4)
-//   - internal/serving — KV store, stream processor, cost model, online
-//     experiment (§9)
+//   - internal/serving — KV stores, the one finalisation pipeline (stream
+//     processor ingest front → user-hashed lane pool → wave-partitioned
+//     batch finaliser with an f64/f32 tier adapter), prediction service,
+//     cost model, online experiment (§9)
 //   - internal/statestore — durable, memory-bounded hidden-state store
 //     (WAL + snapshots, idle eviction, byte budget, int8 and tagged-f32
 //     storage tiers)
 //   - internal/server — request-driven online serving tier: HTTP/JSON
-//     API + dynamic micro-batcher over the batched GEMM path (§9)
+//     and wire fronts over serving's ingest front and lane pool (§9)
 //   - internal/cluster — user-sharded serving cluster: consistent-hash
 //     ring, forwarding/aggregating router with per-route deadlines,
 //     retries, per-replica circuit breakers and degraded predicts,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/features"
+	"repro/internal/nn"
 	"repro/internal/serving"
 )
 
@@ -118,19 +119,7 @@ func (l *Lab) Parallelism() *Report {
 	}
 	sort.Slice(evs, func(i, j int) bool { return evs[i].ts < evs[j].ts })
 
-	replaySeq := func() time.Duration {
-		p := serving.NewStreamProcessor(m, serving.NewKVStore())
-		t0 := time.Now()
-		for _, e := range evs {
-			p.OnSessionStart(e.sid, e.user, e.ts, e.cat)
-			if e.access {
-				p.OnAccess(e.sid, e.ts+30)
-			}
-		}
-		p.Flush()
-		return time.Since(t0)
-	}
-	replaySeqBatched := func(batch int) time.Duration {
+	replaySeq := func(batch int) time.Duration {
 		p := serving.NewStreamProcessor(m, serving.NewKVStore())
 		p.SetInferBatch(batch)
 		t0 := time.Now()
@@ -144,7 +133,10 @@ func (l *Lab) Parallelism() *Report {
 		return time.Since(t0)
 	}
 	replayPar := func(workers, batch int) time.Duration {
-		p := serving.NewParallelStreamProcessorBatch(m, serving.NewShardedKVStore(0), workers, batch)
+		p, err := serving.NewParallelStreamProcessor(m, serving.NewShardedKVStore(0), workers, batch, nn.TierF64)
+		if err != nil {
+			panic(err) // unreachable: the f64 tier needs no cell support
+		}
 		t0 := time.Now()
 		for _, e := range evs {
 			p.OnSessionStart(e.sid, e.user, e.ts, e.cat)
@@ -161,7 +153,7 @@ func (l *Lab) Parallelism() *Report {
 		Title:  "Concurrent serving path vs sequential baseline (sharded KV + worker lanes)",
 		Header: []string{"CONFIG", "WALL", "SESSIONS/S", "SPEEDUP"},
 	}
-	base := replaySeq()
+	base := replaySeq(1)
 	row := func(name string, dur time.Duration) {
 		r.Rows = append(r.Rows, []string{
 			name, dur.Round(time.Millisecond).String(),
@@ -171,7 +163,7 @@ func (l *Lab) Parallelism() *Report {
 	}
 	row("stream sequential", base)
 	for _, bsz := range []int{8, 32} {
-		row(fmt.Sprintf("stream sequential batch-%d", bsz), replaySeqBatched(bsz))
+		row(fmt.Sprintf("stream sequential batch-%d", bsz), replaySeq(bsz))
 	}
 	for _, w := range []int{1, 4, 8} {
 		row(fmt.Sprintf("stream %d-lane", w), replayPar(w, 1))

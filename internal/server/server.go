@@ -1,12 +1,12 @@
 // Package server is the request-driven online serving tier of §9: an
 // HTTP/JSON API over the prediction service and the stream processor,
 // backed by a dynamic micro-batcher. Session-start and access events are
-// ingested through the stream processor's async submit seam; due sessions
-// park in bounded per-shard queues and are coalesced — flush on max-batch
-// or max-wait — into the wave-partitioned batched GEMM finaliser, so GEMM
-// batch sizes form from real traffic instead of replay lanes. Concurrent
-// predict requests ride an analogous bounded queue into the fan-out batch
-// prediction path.
+// ingested through a serving.StreamProcessor whose sink is a
+// serving.LanePool: due sessions park in the pool's bounded per-user-hash
+// lanes and are coalesced — flush on max-batch or max-wait — into the
+// wave-partitioned batched GEMM finaliser, so GEMM batch sizes form from
+// real traffic. Concurrent predict requests ride a bounded queue of their
+// own into the fan-out batch prediction path.
 //
 // Ordering and parity: a user's events must arrive in timestamp order (the
 // load generator shards users across connections to guarantee it), a
@@ -152,34 +152,27 @@ type Server struct {
 	opts Options
 	svc  *serving.PredictionService
 
-	// mu guards the ingest half (proc and draining). The sink dispatches
-	// lane sends under mu; flushers never take mu, so the blocking send
-	// cannot deadlock.
+	// mu guards the ingest half (proc and draining). The processor's sink is
+	// pool.Submit, so lane sends happen under mu; the pool's workers never
+	// take mu, so a blocking send cannot deadlock.
 	mu       sync.Mutex
 	proc     *serving.StreamProcessor
 	draining bool
 
-	lanes       []chan serving.DueSession
-	flushers    sync.WaitGroup
-	maxInflight int
+	// pool is the finalisation micro-batcher: Lanes bounded queues, each
+	// coalescing up to MaxBatch due sessions (waiting at most MaxWait) into
+	// the wave-partitioned finaliser.
+	pool *serving.LanePool
 
 	predictMu     sync.RWMutex
 	predictQ      chan predictItem
 	predictClosed bool
 	predictWG     sync.WaitGroup
 
-	// inflight counts dispatched-but-unfinalised sessions; cond wakes
-	// /flush and Shutdown waiters when the pipeline drains.
-	inflightMu   sync.Mutex
-	inflightCond *sync.Cond
-	inflight     int
-
 	events       atomic.Int64
 	eventsShed   atomic.Int64
 	predicts     atomic.Int64
 	predictsShed atomic.Int64
-	updatesRun   atomic.Int64
-	batches      atomic.Int64
 
 	// source streams the statestore's tail to replication subscribers
 	// (nil without a durable store).
@@ -202,9 +195,9 @@ type Server struct {
 	shutdown atomic.Bool
 }
 
-// New wires the serving stack and starts the flusher goroutines. The
-// server owns its queues and flushers; the model, store and statestore
-// stay caller-owned.
+// New wires the serving stack and starts the lane pool and the predict
+// flusher. The server owns its queues and workers; the model, store and
+// statestore stay caller-owned.
 func New(opts Options) *Server {
 	if opts.Lanes <= 0 {
 		opts.Lanes = runtime.GOMAXPROCS(0)
@@ -224,31 +217,30 @@ func New(opts Options) *Server {
 	if opts.PredictWorkers <= 0 {
 		opts.PredictWorkers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Precision == nn.TierF32 && !opts.Model.SupportsF32() {
+	pool, err := serving.NewLanePool(opts.Model, opts.Store, serving.LaneConfig{
+		Lanes:    opts.Lanes,
+		Depth:    opts.LaneDepth,
+		MaxBatch: opts.MaxBatch,
+		MaxWait:  opts.MaxWait,
+		Tier:     opts.Precision,
+	})
+	if err != nil {
 		// Programmer error: flag-level input is validated in ppserve, so an
 		// unsupported tier reaching here means the caller skipped the gate.
-		panic("server: f32 precision requires a cell with an f32 inference tier (gate on Model.SupportsF32)")
+		panic("server: " + err.Error() + " (gate on Model.SupportsF32)")
 	}
 	s := &Server{
-		opts:        opts,
-		svc:         serving.NewPredictionService(opts.Model, opts.Store, opts.Threshold),
-		proc:        serving.NewStreamProcessor(opts.Model, opts.Store),
-		lanes:       make([]chan serving.DueSession, opts.Lanes),
-		maxInflight: opts.Lanes * opts.LaneDepth,
-		predictQ:    make(chan predictItem, opts.PredictDepth),
-		start:       time.Now(),
+		opts:     opts,
+		svc:      serving.NewPredictionService(opts.Model, opts.Store, opts.Threshold),
+		proc:     serving.NewStreamProcessor(opts.Model, opts.Store),
+		pool:     pool,
+		predictQ: make(chan predictItem, opts.PredictDepth),
+		start:    time.Now(),
 
 		wireListeners: map[net.Listener]struct{}{},
 		wireConns:     map[net.Conn]struct{}{},
 	}
-	s.inflightCond = sync.NewCond(&s.inflightMu)
-	s.proc.SetSink(s.submitDue)
-	for i := range s.lanes {
-		lane := make(chan serving.DueSession, opts.LaneDepth)
-		s.lanes[i] = lane
-		s.flushers.Add(1)
-		go s.runFlusher(lane)
-	}
+	s.proc.SetSink(pool.Submit)
 	s.predictWG.Add(1)
 	go s.runPredictFlusher()
 
@@ -349,30 +341,27 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// whole (its goroutine holds mu before the draining latch) or not at
 	// all.
 	s.closeWire()
-	if werr := waitGroupCtx(ctx, &s.wireWG); werr != nil && err == nil {
+	if werr := waitCtx(ctx, s.wireWG.Wait); werr != nil && err == nil {
 		err = werr
 	}
-	// After draining latches (under mu), no handler dispatches again —
-	// every lane send happens inside a processor call under mu, and every
-	// handler that makes such a call (/event and /flush) checks draining
-	// first under the same mu hold — so closing the queues is safe:
-	// flushers finish whatever is parked and exit — their WaitGroups double
-	// as the drain barrier.
+	// After draining latches (under mu), no handler submits again — every
+	// lane send happens inside a processor call under mu, and every handler
+	// that makes such a call (/event and /flush) checks draining first
+	// under the same mu hold — so closing the pool is safe: its workers
+	// finish whatever is parked and exit, and Close returning is the drain
+	// barrier.
 	s.mu.Lock()
 	s.draining = true
 	s.proc.Flush()
 	s.mu.Unlock()
-	for _, lane := range s.lanes {
-		close(lane)
-	}
 	s.predictMu.Lock()
 	s.predictClosed = true
 	close(s.predictQ)
 	s.predictMu.Unlock()
-	if werr := waitGroupCtx(ctx, &s.flushers); werr != nil && err == nil {
+	if werr := waitCtx(ctx, s.pool.Close); werr != nil && err == nil {
 		err = werr
 	}
-	if werr := waitGroupCtx(ctx, &s.predictWG); werr != nil && err == nil {
+	if werr := waitCtx(ctx, s.predictWG.Wait); werr != nil && err == nil {
 		err = werr
 	}
 	if s.opts.State != nil {
@@ -383,14 +372,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// waitGroupCtx waits for wg or the context, whichever first. On ctx
-// expiry the waiter goroutine stays parked until the group eventually
-// drains — acceptable because a timed-out drain means flusher goroutines
-// are already stuck; the waiter adds nothing to what leaked.
-func waitGroupCtx(ctx context.Context, wg *sync.WaitGroup) error {
+// waitCtx runs the blocking wait until it returns or the context expires,
+// whichever first. On expiry the waiter goroutine stays parked until wait
+// eventually returns — acceptable because a timed-out drain means worker
+// goroutines are already stuck; the waiter adds nothing to what leaked.
+func waitCtx(ctx context.Context, wait func()) error {
 	done := make(chan struct{})
 	go func() {
-		wg.Wait()
+		wait()
 		close(done)
 	}()
 	select {
@@ -398,121 +387,6 @@ func waitGroupCtx(ctx context.Context, wg *sync.WaitGroup) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// ---- finalisation micro-batcher ----
-
-// laneFor maps a user to a finalisation lane via the shared partitioning
-// function — all of a user's sessions land on one lane.
-func (s *Server) laneFor(userID int) chan serving.DueSession {
-	return s.lanes[serving.UserLane(userID, len(s.lanes))]
-}
-
-// submitDue is the processor's sink: it runs under s.mu (inside Advance),
-// so dispatch order is drain order. The lane send blocks when the lane is
-// full — flushers never take s.mu, so this backpressure cannot deadlock,
-// and admission control keeps it rare.
-func (s *Server) submitDue(d serving.DueSession) {
-	s.inflightMu.Lock()
-	s.inflight++
-	s.inflightMu.Unlock()
-	s.laneFor(d.UserID) <- d
-}
-
-// retire counts n finalised sessions and wakes drain waiters.
-func (s *Server) retire(n int) {
-	s.updatesRun.Add(int64(n))
-	s.inflightMu.Lock()
-	s.inflight -= n
-	if s.inflight == 0 {
-		s.inflightCond.Broadcast()
-	}
-	s.inflightMu.Unlock()
-}
-
-// waitIdle blocks until no dispatched finalisation is outstanding.
-func (s *Server) waitIdle() {
-	s.inflightMu.Lock()
-	for s.inflight > 0 {
-		s.inflightCond.Wait()
-	}
-	s.inflightMu.Unlock()
-}
-
-// overloaded reports whether the finalisation backlog has reached the
-// admission watermark — globally, or on any single lane. The per-lane
-// check matters under skew: a hot lane fills long before the global
-// watermark trips, and without it the sink's lane send would block the
-// ingest lock (head-of-line blocking every endpoint) instead of shedding.
-// Channel len/cap reads are racy by nature; admission is approximate and
-// errs by shedding a post early, never by unbounded queueing.
-func (s *Server) overloaded() bool {
-	s.inflightMu.Lock()
-	over := s.inflight >= s.maxInflight
-	s.inflightMu.Unlock()
-	if over {
-		return true
-	}
-	for _, lane := range s.lanes {
-		if len(lane) == cap(lane) {
-			return true
-		}
-	}
-	return false
-}
-
-// runFlusher drains one lane: take the first parked session, coalesce up
-// to MaxBatch (waiting at most MaxWait for stragglers), then finalise the
-// batch through the wave-partitioned GEMM cell.
-func (s *Server) runFlusher(lane chan serving.DueSession) {
-	defer s.flushers.Done()
-	fin, err := serving.NewBatchFinalizerTier(s.opts.Model, s.opts.Store, s.opts.MaxBatch, s.opts.Precision)
-	if err != nil {
-		panic(err) // unreachable: New validated the tier against the model
-	}
-	batch := make([]serving.DueSession, 0, s.opts.MaxBatch)
-	for d := range lane {
-		batch = append(batch[:0], d)
-		fillBatch(lane, &batch, s.opts.MaxBatch, s.opts.MaxWait)
-		fin.Finalize(batch)
-		s.batches.Add(1)
-		s.retire(len(batch))
-	}
-}
-
-// fillBatch coalesces queued items into batch: greedily take whatever is
-// already parked, then wait up to maxWait for a fuller flush. Flushes
-// early when the batch fills or the queue closes.
-func fillBatch[T any](q chan T, batch *[]T, maxBatch int, maxWait time.Duration) {
-	for len(*batch) < maxBatch {
-		select {
-		case d, ok := <-q:
-			if !ok {
-				return
-			}
-			*batch = append(*batch, d)
-			continue
-		default:
-		}
-		if maxWait <= 0 {
-			return
-		}
-		timer := time.NewTimer(maxWait)
-		for len(*batch) < maxBatch {
-			select {
-			case d, ok := <-q:
-				if !ok {
-					timer.Stop()
-					return
-				}
-				*batch = append(*batch, d)
-			case <-timer.C:
-				return
-			}
-		}
-		timer.Stop()
-		return
 	}
 }
 
@@ -527,7 +401,7 @@ func (s *Server) runPredictFlusher() {
 	reqs := make([]serving.PredictRequest, 0, s.opts.MaxBatch)
 	for it := range s.predictQ {
 		items = append(items[:0], it)
-		fillBatch(s.predictQ, &items, s.opts.MaxBatch, s.opts.MaxWait)
+		serving.FillBatch(s.predictQ, &items, s.opts.MaxBatch, s.opts.MaxWait)
 		reqs = reqs[:0]
 		for _, it := range items {
 			reqs = append(reqs, it.req)
@@ -623,7 +497,7 @@ func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if s.overloaded() {
+	if s.pool.Overloaded() {
 		s.eventsShed.Add(int64(len(evs)))
 		writeErr(w, http.StatusTooManyRequests, "finalisation backlog full, event shed")
 		return
@@ -718,9 +592,9 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	s.proc.Flush()
 	pending := s.proc.Pending()
 	s.mu.Unlock()
-	s.waitIdle()
+	s.pool.Sync()
 	writeJSON(w, http.StatusOK, map[string]int64{
-		"updates_run": s.updatesRun.Load(),
+		"updates_run": s.pool.UpdatesRun(),
 		"pending":     int64(pending),
 	})
 }
@@ -761,9 +635,6 @@ func (s *Server) Stats() Statz {
 	s.mu.Lock()
 	pending := s.proc.Pending()
 	s.mu.Unlock()
-	s.inflightMu.Lock()
-	inflight := s.inflight
-	s.inflightMu.Unlock()
 	st := Statz{
 		UptimeSec:       time.Since(s.start).Seconds(),
 		Events:          s.events.Load(),
@@ -773,10 +644,10 @@ func (s *Server) Stats() Statz {
 		Precomputes:     s.svc.Precomputes.Load(),
 		ColdStarts:      s.svc.ColdStarts.Load(),
 		DecodeFailures:  s.svc.DecodeFailures.Load(),
-		UpdatesRun:      s.updatesRun.Load(),
+		UpdatesRun:      s.pool.UpdatesRun(),
 		PendingSessions: pending,
-		Inflight:        inflight,
-		Batches:         s.batches.Load(),
+		Inflight:        s.pool.Inflight(),
+		Batches:         s.pool.Batches(),
 		Precision:       s.opts.Precision.String(),
 		Kernel:          tensor.KernelF64(),
 		Store:           s.opts.Store.Stats(),

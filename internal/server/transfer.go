@@ -65,9 +65,7 @@ func (s *Server) quiesced() (pending, inflight int, ok bool) {
 	s.mu.Lock()
 	pending = s.proc.Pending()
 	s.mu.Unlock()
-	s.inflightMu.Lock()
-	inflight = s.inflight
-	s.inflightMu.Unlock()
+	inflight = s.pool.Inflight()
 	return pending, inflight, pending == 0 && inflight == 0
 }
 

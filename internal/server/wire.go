@@ -176,7 +176,7 @@ func (s *Server) ingestWire(er *wire.EventReader, ev *wire.Event, batch []byte) 
 		}
 		n++
 	}
-	if s.overloaded() {
+	if s.pool.Overloaded() {
 		s.eventsShed.Add(int64(n))
 		return wire.StatusShed, 0, "finalisation backlog full, event shed"
 	}

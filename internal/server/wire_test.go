@@ -38,7 +38,9 @@ func TestWireReplayMatchesSequential(t *testing.T) {
 	store := serving.NewShardedKVStore(8)
 	srv := New(Options{
 		Model: m, Store: store, Threshold: 0.5,
-		Lanes: 3, MaxBatch: 8, MaxWait: time.Millisecond, LaneDepth: 64,
+		// LaneDepth exceeds len(log), so this parity run cannot shed however
+		// the box is loaded; TestBackpressureSheds covers shedding.
+		Lanes: 3, MaxBatch: 8, MaxWait: time.Millisecond, LaneDepth: 4096,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/nn"
 	"repro/internal/synth"
 )
 
@@ -72,7 +73,7 @@ func TestSinkFinalizerMatchesInline(t *testing.T) {
 	// batched finalizer in uneven group sizes.
 	async := NewKVStore()
 	p := NewStreamProcessor(m, async)
-	fin := NewBatchFinalizer(m, async, 8)
+	fin := mustFinalizer(t, m, async, 8, nn.TierF64)
 	var queue []DueSession
 	p.SetSink(func(d DueSession) { queue = append(queue, d) })
 	sizes := []int{1, 7, 3, 8, 2}

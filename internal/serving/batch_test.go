@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/nn"
 	"repro/internal/synth"
 )
 
@@ -71,7 +72,7 @@ func TestBatchedFinalisationMatchesSequential(t *testing.T) {
 		requireSameStates(t, fmt.Sprintf("sequential batch %d", batch), users, want, store)
 
 		parStore := NewShardedKVStore(16)
-		par := NewParallelStreamProcessorBatch(m, parStore, 4, batch)
+		par := mustParallel(t, m, parStore, 4, batch, nn.TierF64)
 		for _, e := range evs {
 			par.OnSessionStart(e.sid, e.userID, e.ts, e.cat)
 			if e.access {
@@ -83,6 +84,15 @@ func TestBatchedFinalisationMatchesSequential(t *testing.T) {
 			t.Fatalf("parallel batch %d: UpdatesRun %d, want %d", batch, got, len(evs))
 		}
 		requireSameStates(t, fmt.Sprintf("parallel batch %d", batch), users, want, parStore)
+
+		for _, wait := range poolFlushModes {
+			poolStore := NewShardedKVStore(16)
+			pool := replayThroughPool(t, m, poolStore, evs, LaneConfig{Lanes: 4, Depth: 8, MaxBatch: batch, MaxWait: wait})
+			if got := pool.UpdatesRun(); got != int64(len(evs)) {
+				t.Fatalf("pool batch %d wait %v: UpdatesRun %d, want %d", batch, wait, got, len(evs))
+			}
+			requireSameStates(t, fmt.Sprintf("pool batch %d wait %v", batch, wait), users, want, poolStore)
+		}
 	}
 }
 
@@ -157,7 +167,7 @@ func TestBatchedStackedModel(t *testing.T) {
 func TestParallelBatchedConcurrent(t *testing.T) {
 	m := testModel()
 	store := NewShardedKVStore(16)
-	p := NewParallelStreamProcessorBatch(m, store, 4, 8)
+	p := mustParallel(t, m, store, 4, 8, nn.TierF64)
 
 	const users = 12
 	const rounds = 8
@@ -193,18 +203,51 @@ func TestParallelBatchedConcurrent(t *testing.T) {
 func TestBatchedSyncVisibility(t *testing.T) {
 	m := testModel()
 	store := NewShardedKVStore(4)
-	p := NewParallelStreamProcessorBatch(m, store, 2, 16)
+	p := mustParallel(t, m, store, 2, 16, nn.TierF64)
 	defer p.Close()
 
 	start := synth.DefaultStart
 	for i := 0; i < 6; i++ {
 		p.OnSessionStart(fmt.Sprintf("s%d", i), 40+i, start+int64(i), []int{1, 2})
 	}
-	p.Advance(start + m.Schema.SessionLength + p.Epsilon + 10)
+	p.Advance(start + m.Schema.SessionLength + core.DefaultEpsilon + 10)
 	p.Sync()
 	for i := 0; i < 6; i++ {
 		if _, ok := store.Get(hiddenKey(40 + i)); !ok {
 			t.Fatalf("user %d state missing after Advance+Sync", 40+i)
+		}
+	}
+}
+
+// TestFinalizeAllocs pins what the finaliser allocates per session — the
+// key string, the store's Get copy and its Put copy — which the benchmark's
+// allocs_per_session (bound 2 %) rests on. Nothing may allocate per group,
+// per wave or per tier adapter.
+func TestFinalizeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are meaningless under the race detector")
+	}
+	m := testModel()
+	// 32 sessions over 31 users: the repeated user forces a second, one-row
+	// wave inside the batch-32 group.
+	const sessions = 32
+	due := make([]DueSession, sessions)
+	for i := range due {
+		due[i] = DueSession{
+			UserID: i % (sessions - 1), Start: synth.DefaultStart + int64(i),
+			Cat: []int{i % 4, i % 3}, Accessed: i%3 == 0,
+		}
+	}
+	for _, tier := range []nn.PrecisionTier{nn.TierF64, nn.TierF32} {
+		for _, batch := range []int{1, sessions} {
+			store := NewShardedKVStore(16)
+			fin := mustFinalizer(t, m, store, batch, tier)
+			fin.Finalize(due) // warm the store and the finaliser's buffers
+			perSession := testing.AllocsPerRun(100, func() { fin.Finalize(due) }) / sessions
+			t.Logf("%s batch %d: %.3f allocs/session", tier, batch, perSession)
+			if perSession > 3 {
+				t.Errorf("%s batch %d: %.3f allocs/session, want <= 3 (key, Get copy, Put copy)", tier, batch, perSession)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/nn"
 	"repro/internal/synth"
 )
 
@@ -76,7 +77,7 @@ func BenchmarkParallelStreamUpdate(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p := NewParallelStreamProcessor(m, NewShardedKVStore(16), workers)
+				p := mustParallel(b, m, NewShardedKVStore(16), workers, 1, nn.TierF64)
 				for _, e := range evs {
 					p.OnSessionStart(e.sid, e.userID, e.ts, e.cat)
 					if e.access {
@@ -107,7 +108,7 @@ func BenchmarkParallelStreamUpdate(b *testing.B) {
 	for _, workers := range []int{4} {
 		b.Run(fmt.Sprintf("workers-%d-batch-32", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p := NewParallelStreamProcessorBatch(m, NewShardedKVStore(16), workers, 32)
+				p := mustParallel(b, m, NewShardedKVStore(16), workers, 32, nn.TierF64)
 				for _, e := range evs {
 					p.OnSessionStart(e.sid, e.userID, e.ts, e.cat)
 					if e.access {
@@ -122,9 +123,8 @@ func BenchmarkParallelStreamUpdate(b *testing.B) {
 
 // BenchmarkBatchFinalise isolates the finalisation kernel from the replay
 // machinery (timers, heaps, buffer maps, processor construction): a warmed
-// store and a fixed group of due sessions, measured through the scalar
-// per-session path vs the batched GEMM path at several batch sizes and
-// hidden dims. This is the apples-to-apples number for the GEMM win; the
+// store and a fixed group of due sessions, measured through the finaliser
+// at several batch sizes (1 = the scalar per-session step) and hidden dims. This is the apples-to-apples number for the GEMM win; the
 // replay benchmarks above include ingest overhead and per-iteration
 // processor construction.
 func BenchmarkBatchFinalise(b *testing.B) {
@@ -142,34 +142,22 @@ func BenchmarkBatchFinalise(b *testing.B) {
 			warm.OnSessionStart(fmt.Sprintf("w%d", u), u, synth.DefaultStart+int64(u), []int{u % 4, u % 3})
 		}
 		warm.Flush()
-		bufs := make([]*sessionBuffer, users)
+		due := make([]DueSession, users)
 		for u := 0; u < users; u++ {
-			bufs[u] = &sessionBuffer{
-				userID: u, start: synth.DefaultStart + 7200 + int64(u),
-				cat: []int{u % 4, u % 3}, accessed: u%3 == 0,
+			due[u] = DueSession{
+				UserID: u, Start: synth.DefaultStart + 7200 + int64(u),
+				Cat: []int{u % 4, u % 3}, Accessed: u%3 == 0,
 			}
 		}
-		b.Run(fmt.Sprintf("d%d/scalar", d), func(b *testing.B) {
-			sc := newUpdateScratch(m)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, buf := range bufs {
-					applySessionUpdate(m, store, buf, sc)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bufs)), "ns/session")
-		})
-		for _, batch := range []int{8, 32, 64} {
+		// Batch 1 is the scalar per-session path.
+		for _, batch := range []int{1, 8, 32, 64} {
 			b.Run(fmt.Sprintf("d%d/batch-%d", d, batch), func(b *testing.B) {
-				bs := newBatchScratch(m, batch)
+				fin := mustFinalizer(b, m, store, batch, nn.TierF64)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					for lo := 0; lo < len(bufs); lo += batch {
-						hi := min(lo+batch, len(bufs))
-						applySessionUpdateBatch(m, store, bufs[lo:hi], bs)
-					}
+					fin.Finalize(due)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bufs)), "ns/session")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(due)), "ns/session")
 			})
 		}
 	}

@@ -6,7 +6,10 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/nn"
 	"repro/internal/synth"
 )
 
@@ -123,6 +126,51 @@ func syntheticLog(users, rounds int) []replayEvent {
 	return evs
 }
 
+// mustParallel and mustFinalizer build on a tier the test model supports.
+func mustParallel(t testing.TB, m *core.Model, store Store, workers, inferBatch int, tier nn.PrecisionTier) *ParallelStreamProcessor {
+	t.Helper()
+	p, err := NewParallelStreamProcessor(m, store, workers, inferBatch, tier)
+	if err != nil {
+		t.Fatalf("NewParallelStreamProcessor: %v", err)
+	}
+	return p
+}
+
+func mustFinalizer(t testing.TB, m *core.Model, store Store, maxBatch int, tier nn.PrecisionTier) *BatchFinalizer {
+	t.Helper()
+	f, err := NewBatchFinalizerTier(m, store, maxBatch, tier)
+	if err != nil {
+		t.Fatalf("NewBatchFinalizerTier: %v", err)
+	}
+	return f
+}
+
+// poolFlushModes are the lane pool's two coalescing modes: greedy (what
+// ParallelStreamProcessor uses) and a max-wait hold (what the server uses).
+var poolFlushModes = []time.Duration{-1, 500 * time.Microsecond}
+
+// replayThroughPool replays evs through an ingest front whose sink is a
+// lane pool sized by cfg — the server's composition, without the HTTP —
+// then drains and closes the pool.
+func replayThroughPool(t *testing.T, m *core.Model, store Store, evs []replayEvent, cfg LaneConfig) *LanePool {
+	t.Helper()
+	pool, err := NewLanePool(m, store, cfg)
+	if err != nil {
+		t.Fatalf("NewLanePool: %v", err)
+	}
+	front := NewStreamProcessor(m, store)
+	front.SetSink(pool.Submit)
+	for _, e := range evs {
+		front.OnSessionStart(e.sid, e.userID, e.ts, e.cat)
+		if e.access {
+			front.OnAccess(e.sid, e.ts+30)
+		}
+	}
+	front.Flush()
+	pool.Close()
+	return pool
+}
+
 // TestParallelMatchesSequential replays the same synthetic log through the
 // sequential processor (single-mutex store) and the parallel processor
 // (sharded store, 8 workers) and requires byte-identical stored hidden
@@ -143,7 +191,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	seq.Flush()
 
 	parStore := NewShardedKVStore(16)
-	par := NewParallelStreamProcessor(m, parStore, 8)
+	par := mustParallel(t, m, parStore, 8, 1, nn.TierF64)
 	for _, e := range evs {
 		par.OnSessionStart(e.sid, e.userID, e.ts, e.cat)
 		if e.access {
@@ -165,6 +213,48 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("user %d: parallel hidden state differs from sequential", u)
 		}
 	}
+
+	for _, wait := range poolFlushModes {
+		poolStore := NewShardedKVStore(16)
+		pool := replayThroughPool(t, m, poolStore, evs, LaneConfig{Lanes: 8, Depth: 8, MaxBatch: 1, MaxWait: wait})
+		if got, want := pool.UpdatesRun(), seq.UpdatesRun; got != want {
+			t.Fatalf("pool wait %v: UpdatesRun %d vs sequential %d", wait, got, want)
+		}
+		requireSameStates(t, fmt.Sprintf("pool wait %v", wait), 24, seqStore, poolStore)
+	}
+}
+
+// TestLanePoolCloseIdempotent pins the pool's shutdown contract: Close
+// drains what is queued, a second Close is a no-op, and Sync after Close
+// returns at once (nothing is in flight, so a late /flush cannot hang).
+func TestLanePoolCloseIdempotent(t *testing.T) {
+	m := testModel()
+	store := NewShardedKVStore(4)
+	pool, err := NewLanePool(m, store, LaneConfig{Lanes: 2, Depth: 4, MaxBatch: 4, MaxWait: time.Hour})
+	if err != nil {
+		t.Fatalf("NewLanePool: %v", err)
+	}
+	const users = 6
+	for u := 0; u < users; u++ {
+		pool.Submit(DueSession{UserID: u, Start: synth.DefaultStart + int64(u), Cat: []int{1, 2}})
+	}
+	// MaxWait is an hour: only Close (the lanes closing) can flush the
+	// partial batches.
+	pool.Close()
+	pool.Close()
+	pool.Sync()
+	if got := pool.UpdatesRun(); got != users {
+		t.Fatalf("UpdatesRun after Close: %d, want %d", got, users)
+	}
+	if got := pool.Inflight(); got != 0 {
+		t.Fatalf("Inflight after Close: %d", got)
+	}
+	if pool.Overloaded() {
+		t.Fatal("a drained pool must not report overload")
+	}
+	if st := store.Stats(); st.Keys != users {
+		t.Fatalf("stored keys: %d, want %d", st.Keys, users)
+	}
 }
 
 // TestParallelStreamProcessorConcurrent drives one processor from many
@@ -173,7 +263,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestParallelStreamProcessorConcurrent(t *testing.T) {
 	m := testModel()
 	store := NewShardedKVStore(16)
-	p := NewParallelStreamProcessor(m, store, 4)
+	p := mustParallel(t, m, store, 4, 1, nn.TierF64)
 
 	const users = 12
 	const rounds = 8
@@ -214,7 +304,7 @@ func TestParallelStreamProcessorConcurrent(t *testing.T) {
 func TestParallelSyncVisibility(t *testing.T) {
 	m := testModel()
 	store := NewShardedKVStore(4)
-	p := NewParallelStreamProcessor(m, store, 2)
+	p := mustParallel(t, m, store, 2, 1, nn.TierF64)
 	defer p.Close()
 
 	start := synth.DefaultStart
@@ -223,7 +313,7 @@ func TestParallelSyncVisibility(t *testing.T) {
 	if _, ok := store.Get(hiddenKey(7)); ok {
 		t.Fatalf("hidden must not exist before finalisation")
 	}
-	p.Advance(start + m.Schema.SessionLength + p.Epsilon + 1)
+	p.Advance(start + m.Schema.SessionLength + core.DefaultEpsilon + 1)
 	p.Sync()
 	raw, ok := store.Get(hiddenKey(7))
 	if !ok {

@@ -1,25 +1,25 @@
 package serving
 
 import (
-	"container/heap"
-	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/nn"
 )
 
-// ParallelStreamProcessor is the multi-core variant of StreamProcessor: the
-// event-ingest side (session buffers, finalisation timers, virtual clock)
-// stays under one mutex, but due sessions are finalised by a pool of worker
-// goroutines. Each worker owns a lane — a FIFO channel — and a user's
-// sessions always hash to the same lane, so per-user update order (the only
-// order RNNupdate depends on) is preserved while different users' GRU
-// updates run concurrently. This mirrors the production deployment of §9,
-// where the stream processor is partitioned by user ID exactly like a
-// keyed Kafka consumer group.
+// Lane sizing of the replay processor: a worker flushes whatever its lane
+// already holds (replay never waits for stragglers), and 128 queued
+// sessions per lane keep the ingest side from blocking on a busy worker.
+const (
+	parallelLaneDepth = 128
+	parallelMaxWait   = -1
+)
+
+// ParallelStreamProcessor is the multi-core replay variant of
+// StreamProcessor: the same ingest front under one mutex, with a LanePool
+// as its sink, so due sessions are finalised by user-partitioned workers
+// instead of inline.
 //
 // All methods are safe for concurrent use. Replays that interleave
 // predictions with updates and need the sequential path's read-your-writes
@@ -27,206 +27,45 @@ import (
 // StreamProcessor then holds byte for byte (see
 // TestParallelMatchesSequential).
 type ParallelStreamProcessor struct {
-	model *core.Model
-	store Store
-	// Epsilon is the processing lag ε added to the session length before
-	// the finalisation timer fires.
-	Epsilon int64
-
-	mu      sync.Mutex
-	buffers map[string]*sessionBuffer
-	timers  timerHeap
-	now     int64
-	closed  bool
-
-	lanes   []chan *sessionBuffer
-	workers sync.WaitGroup
-	// inferBatch > 1 lets each worker greedily drain up to that many queued
-	// sessions from its lane and finalise them through the batched cell.
-	inferBatch int
-	// precision is fixed at construction (workers read it with no lock;
-	// see NewParallelStreamProcessorTier).
-	precision nn.PrecisionTier
-
-	// inflight tracks dispatched-but-unfinished finalisations for Sync.
-	inflightMu   sync.Mutex
-	inflightCond *sync.Cond
-	inflight     int
-
-	updatesRun atomic.Int64
+	// mu guards front. The pool's Submit runs under it (inside the front's
+	// drain); workers never take it, so a full lane cannot deadlock.
+	mu    sync.Mutex
+	front *StreamProcessor
+	pool  *LanePool
 }
 
 // NewParallelStreamProcessor wires a model and store and starts `workers`
-// finalisation goroutines (<=0 selects GOMAXPROCS). The store must be safe
-// for concurrent use; both KVStore and ShardedKVStore are.
-func NewParallelStreamProcessor(model *core.Model, store Store, workers int) *ParallelStreamProcessor {
-	return NewParallelStreamProcessorBatch(model, store, workers, 1)
-}
-
-// NewParallelStreamProcessorBatch is NewParallelStreamProcessor with
-// batched finalisation: each worker greedily drains up to inferBatch
-// queued sessions from its lane per round and advances them through the
-// batched GEMM cell (inferBatch <= 1 keeps the per-session path). Lane
-// FIFO order plus the batch's wave partition preserve per-user update
-// order, so stored states stay byte-identical to the sequential processor.
-func NewParallelStreamProcessorBatch(model *core.Model, store Store, workers, inferBatch int) *ParallelStreamProcessor {
-	p, err := NewParallelStreamProcessorTier(model, store, workers, inferBatch, nn.TierF64)
-	if err != nil {
-		panic(err) // unreachable: the f64 tier needs no cell support
-	}
-	return p
-}
-
-// NewParallelStreamProcessorTier is NewParallelStreamProcessorBatch with an
-// explicit finalisation compute tier. The tier is fixed for the processor's
-// lifetime — each worker picks its scratch type once at startup, so there
-// is no per-session tier check and nothing for workers to race on. TierF32
-// requires a cell with an f32 inference tier (see StreamProcessor.SetPrecision).
-func NewParallelStreamProcessorTier(model *core.Model, store Store, workers, inferBatch int, tier nn.PrecisionTier) (*ParallelStreamProcessor, error) {
-	if tier == nn.TierF32 && !model.SupportsF32() {
-		return nil, fmt.Errorf("serving: %s cell has no f32 inference tier", model.Cfg.Cell)
-	}
+// finalisation lanes (<=0 selects GOMAXPROCS). Each worker greedily drains
+// up to inferBatch queued sessions per round through the batched cell
+// (<=1 finalises one session at a time) on the given compute tier, which a
+// cell without that tier rejects. The store must be safe for concurrent
+// use; both KVStore and ShardedKVStore are.
+func NewParallelStreamProcessor(model *core.Model, store Store, workers, inferBatch int, tier nn.PrecisionTier) (*ParallelStreamProcessor, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &ParallelStreamProcessor{
-		model:      model,
-		store:      store,
-		Epsilon:    core.DefaultEpsilon,
-		buffers:    make(map[string]*sessionBuffer),
-		lanes:      make([]chan *sessionBuffer, workers),
-		inferBatch: inferBatch,
-		precision:  tier,
+	pool, err := NewLanePool(model, store, LaneConfig{
+		Lanes:    workers,
+		Depth:    parallelLaneDepth,
+		MaxBatch: inferBatch,
+		MaxWait:  parallelMaxWait,
+		Tier:     tier,
+	})
+	if err != nil {
+		return nil, err
 	}
-	p.inflightCond = sync.NewCond(&p.inflightMu)
-	for i := range p.lanes {
-		lane := make(chan *sessionBuffer, 128)
-		p.lanes[i] = lane
-		p.workers.Add(1)
-		go p.runWorker(lane)
-	}
+	p := &ParallelStreamProcessor{front: NewStreamProcessor(model, store), pool: pool}
+	p.front.SetSink(pool.Submit)
 	return p, nil
 }
 
-func (p *ParallelStreamProcessor) runWorker(lane <-chan *sessionBuffer) {
-	defer p.workers.Done()
-	if p.inferBatch > 1 {
-		p.runWorkerBatched(lane)
-		return
-	}
-	if p.precision == nn.TierF32 {
-		scratch := newUpdateScratch32(p.model)
-		for buf := range lane {
-			applySessionUpdate32(p.model, p.store, buf, scratch)
-			p.finishInflight(1)
-		}
-		return
-	}
-	scratch := newUpdateScratch(p.model)
-	for buf := range lane {
-		applySessionUpdate(p.model, p.store, buf, scratch)
-		p.finishInflight(1)
-	}
-}
-
-// runWorkerBatched drains the lane greedily: one blocking receive, then
-// non-blocking receives up to the batch size, then one batched
-// finalisation. Under light load this degenerates to per-session updates
-// (batch of 1); under a backlog the whole group rides two GEMMs per wave.
-func (p *ParallelStreamProcessor) runWorkerBatched(lane <-chan *sessionBuffer) {
-	// One tier-specific scratch per worker, chosen once; the drain loop is
-	// shared via the apply closure so the two tiers cannot drift.
-	var apply func(bufs []*sessionBuffer)
-	if p.precision == nn.TierF32 {
-		bs := newBatchScratch32(p.model, p.inferBatch)
-		apply = func(bufs []*sessionBuffer) {
-			applySessionUpdateBatch32(p.model, p.store, bufs, bs)
-		}
-	} else {
-		bs := newBatchScratch(p.model, p.inferBatch)
-		apply = func(bufs []*sessionBuffer) {
-			applySessionUpdateBatch(p.model, p.store, bufs, bs)
-		}
-	}
-	bufs := make([]*sessionBuffer, 0, p.inferBatch)
-	for buf := range lane {
-		bufs = append(bufs[:0], buf)
-	drain:
-		for len(bufs) < p.inferBatch {
-			select {
-			case b, ok := <-lane:
-				if !ok {
-					break drain // lane closed; the outer range exits next
-				}
-				bufs = append(bufs, b)
-			default:
-				break drain
-			}
-		}
-		apply(bufs)
-		p.finishInflight(len(bufs))
-	}
-}
-
-// finishInflight retires n dispatched finalisations and wakes Sync waiters
-// when the pipeline empties.
-func (p *ParallelStreamProcessor) finishInflight(n int) {
-	p.updatesRun.Add(int64(n))
-	p.inflightMu.Lock()
-	p.inflight -= n
-	if p.inflight == 0 {
-		p.inflightCond.Broadcast()
-	}
-	p.inflightMu.Unlock()
-}
-
-// UserLane maps a user to one of n lanes (Fibonacci mix over the raw ID —
-// no key string is built). It is THE user-partitioning function: the
-// worker-pool processor, the online server's micro-batcher, and the load
-// generator's connection sharding all call it, so "all of a user's
-// sessions ride one lane" holds by construction across every tier.
-func UserLane(userID, n int) int {
-	h := uint32(userID) * 2654435761
-	return int(h % uint32(n))
-}
-
-// laneFor maps a user to a worker lane. All of a user's sessions land on
-// the same lane, which is what preserves per-user ordering.
-func (p *ParallelStreamProcessor) laneFor(userID int) chan<- *sessionBuffer {
-	return p.lanes[UserLane(userID, len(p.lanes))]
-}
-
-// dispatch hands a finalised buffer to its user's lane. Callers must hold
-// p.mu (workers never take it, so the potentially blocking channel send
-// cannot deadlock).
-func (p *ParallelStreamProcessor) dispatch(buf *sessionBuffer) {
-	p.inflightMu.Lock()
-	p.inflight++
-	p.inflightMu.Unlock()
-	p.laneFor(buf.userID) <- buf
-}
-
-// Advance moves the virtual clock to ts, dispatching any due sessions to
-// the worker pool in timer order. It returns as soon as the due sessions
-// are queued; call Sync to wait for the updates to land in the store.
+// Advance moves the virtual clock to ts, queueing any due sessions on the
+// worker lanes in timer order. It returns as soon as they are queued; call
+// Sync to wait for the updates to land in the store.
 func (p *ParallelStreamProcessor) Advance(ts int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.advanceLocked(ts)
-}
-
-func (p *ParallelStreamProcessor) advanceLocked(ts int64) {
-	for len(p.timers) > 0 && p.timers[0].fireAt <= ts {
-		e := heap.Pop(&p.timers).(timerEntry)
-		p.now = e.fireAt
-		if buf, ok := p.buffers[e.sessionID]; ok {
-			delete(p.buffers, e.sessionID)
-			p.dispatch(buf)
-		}
-	}
-	if ts > p.now {
-		p.now = ts
-	}
+	p.front.Advance(ts)
 }
 
 // OnSessionStart records the context of a new session and arms its
@@ -234,86 +73,46 @@ func (p *ParallelStreamProcessor) advanceLocked(ts int64) {
 func (p *ParallelStreamProcessor) OnSessionStart(sessionID string, userID int, ts int64, cat []int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.advanceLocked(ts)
-	p.buffers[sessionID] = &sessionBuffer{
-		userID: userID,
-		start:  ts,
-		cat:    append([]int(nil), cat...),
-	}
-	heap.Push(&p.timers, timerEntry{
-		fireAt:    ts + p.model.Schema.SessionLength + p.Epsilon,
-		sessionID: sessionID,
-	})
+	p.front.OnSessionStart(sessionID, userID, ts, cat)
 }
 
-// OnAccess records an access event for an in-flight session. Events for
-// unknown or already-finalised sessions are dropped (matching at-most-once
-// buffering semantics).
+// OnAccess records an access event for an in-flight session.
 func (p *ParallelStreamProcessor) OnAccess(sessionID string, ts int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.advanceLocked(ts)
-	if buf, ok := p.buffers[sessionID]; ok {
-		buf.accessed = true
-	}
+	p.front.OnAccess(sessionID, ts)
 }
 
-// Sync blocks until every dispatched finalisation has been applied to the
+// Sync blocks until every queued finalisation has been applied to the
 // store. Advance+Sync is the parallel analogue of the sequential Advance.
-func (p *ParallelStreamProcessor) Sync() {
-	p.inflightMu.Lock()
-	for p.inflight > 0 {
-		p.inflightCond.Wait()
-	}
-	p.inflightMu.Unlock()
-}
+func (p *ParallelStreamProcessor) Sync() { p.pool.Sync() }
 
-// Flush dispatches all outstanding timers regardless of the clock (end of
+// Flush fires all outstanding timers regardless of the clock (end of
 // replay) and waits for the updates to land.
 func (p *ParallelStreamProcessor) Flush() {
 	p.mu.Lock()
-	for len(p.timers) > 0 {
-		e := heap.Pop(&p.timers).(timerEntry)
-		p.now = e.fireAt
-		if buf, ok := p.buffers[e.sessionID]; ok {
-			delete(p.buffers, e.sessionID)
-			p.dispatch(buf)
-		}
-	}
+	p.front.Flush()
 	p.mu.Unlock()
-	p.Sync()
+	p.pool.Sync()
 }
 
 // Close flushes outstanding work and stops the worker pool. The processor
 // must not be used after Close.
 func (p *ParallelStreamProcessor) Close() {
 	p.Flush()
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	for _, lane := range p.lanes {
-		close(lane)
-	}
-	p.mu.Unlock()
-	p.workers.Wait()
+	p.pool.Close()
 }
 
-// Pending returns the number of in-flight (buffered, not yet dispatched)
+// Pending returns the number of in-flight (buffered, not yet queued)
 // sessions.
 func (p *ParallelStreamProcessor) Pending() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.buffers)
+	return p.front.Pending()
 }
 
 // UpdatesRun counts completed GRU executions.
-func (p *ParallelStreamProcessor) UpdatesRun() int64 { return p.updatesRun.Load() }
+func (p *ParallelStreamProcessor) UpdatesRun() int64 { return p.pool.UpdatesRun() }
 
 // Workers returns the worker-pool size.
-func (p *ParallelStreamProcessor) Workers() int { return len(p.lanes) }
-
-// Precision returns the finalisation compute tier fixed at construction.
-func (p *ParallelStreamProcessor) Precision() nn.PrecisionTier { return p.precision }
+func (p *ParallelStreamProcessor) Workers() int { return p.pool.Lanes() }

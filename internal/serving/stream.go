@@ -2,12 +2,10 @@ package serving
 
 import (
 	"container/heap"
-	"fmt"
 	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // The stream processor reproduces §9's update pipeline: context variables
@@ -16,14 +14,6 @@ import (
 // processing lag ε), at which point the processor joins the buffered
 // events, retrieves the user's hidden state, executes the GRU part of the
 // model and writes the new hidden state back.
-
-// sessionBuffer accumulates the events of one in-flight session.
-type sessionBuffer struct {
-	userID   int
-	start    int64
-	cat      []int
-	accessed bool
-}
 
 // timerEntry schedules a session finalisation.
 type timerEntry struct {
@@ -46,7 +36,10 @@ func (h *timerHeap) Pop() any {
 }
 
 // StreamProcessor consumes session-start and access events (the Kafka
-// analogue) and maintains per-user hidden states in the KV store.
+// analogue): it is the ingest front — session buffers, finalisation timers,
+// virtual clock — plus one drain loop that hands due sessions, in timer
+// order, either to a sink (SetSink) or to an inline finaliser that
+// maintains the per-user hidden states in the KV store.
 type StreamProcessor struct {
 	model *core.Model
 	store Store
@@ -54,31 +47,22 @@ type StreamProcessor struct {
 	// the finalisation timer fires.
 	Epsilon int64
 
-	buffers map[string]*sessionBuffer
+	buffers map[string]*DueSession
 	timers  timerHeap
 	now     int64
-	scratch *updateScratch
 
-	// precision selects the compute tier of finalisation: TierF64 (the
-	// bit-exact training reference, default) or TierF32 (the fused float32
-	// kernels; see SetPrecision). The stored wire format is the same either
-	// way, so the tier can be switched mid-replay without a store rewrite.
-	precision nn.PrecisionTier
-	scratch32 *updateScratch32
-
-	// inferBatch > 1 drains due sessions in groups of up to that size and
-	// finalises them through the batched GEMM cell path (see batch.go).
-	inferBatch int
-	batchSc    *batchScratch
-	batchSc32  *batchScratch32
-	due        []*sessionBuffer
-
-	// sink, when set, receives due sessions instead of inline finalisation
-	// (the async submit seam; see async.go).
+	// sink, when set, receives due sessions instead of the inline
+	// finaliser.
 	sink func(DueSession)
+	// fin finalises due sessions inline, one at a time through the scalar
+	// kernel by default (the sequential oracle every other configuration is
+	// compared against); due is its reusable drain buffer.
+	fin *BatchFinalizer
+	due []DueSession
 
-	// UpdatesRun counts GRU executions (the paper's most expensive model
-	// component runs once per session, off the critical path).
+	// UpdatesRun counts inline GRU executions (the paper's most expensive
+	// model component runs once per session, off the critical path). A sink
+	// owner counts its own.
 	UpdatesRun int64
 }
 
@@ -88,53 +72,48 @@ func NewStreamProcessor(model *core.Model, store Store) *StreamProcessor {
 		model:   model,
 		store:   store,
 		Epsilon: core.DefaultEpsilon,
-		buffers: make(map[string]*sessionBuffer),
-		scratch: newUpdateScratch(model),
+		buffers: make(map[string]*DueSession),
+		fin:     newFinalizer(model, store, 1, nn.TierF64),
 	}
 }
 
-// SetInferBatch selects batched finalisation: due sessions are drained in
-// groups of up to n and advanced through the batched cell, which computes
-// all gate pre-activations as two GEMMs per wave instead of two
-// matrix-vector products per session. n <= 1 restores the per-session
-// path. Stored states are byte-identical either way.
+// SetSink diverts due sessions to sink instead of finalising them inline:
+// Advance becomes a non-blocking submit path and the sink owner decides
+// when (and how batched) the GRU updates run — a request-driven server
+// cannot finalise on the ingesting goroutine, because finalisation is the
+// expensive part and must be coalesced across concurrent requests. The sink
+// is called in drain order while the processor's invariants hold, so a sink
+// that preserves per-user FIFO order (a LanePool) keeps stored states
+// byte-identical to the inline path. Passing nil restores inline
+// finalisation.
+func (p *StreamProcessor) SetSink(sink func(DueSession)) { p.sink = sink }
+
+// SetInferBatch makes the inline finaliser advance due sessions in groups
+// of up to n through the batched cell — two GEMMs per wave instead of two
+// matrix-vector products per session. n <= 1 restores one session at a
+// time. Stored states are byte-identical either way.
 func (p *StreamProcessor) SetInferBatch(n int) {
-	if n <= 1 {
-		p.inferBatch, p.batchSc = 0, nil
-		return
-	}
-	p.inferBatch = n
-	p.batchSc = newBatchScratch(p.model, n)
-	if p.precision == nn.TierF32 {
-		p.batchSc32 = newBatchScratch32(p.model, n)
-	}
+	p.fin = newFinalizer(p.model, p.store, n, p.fin.tier)
 }
 
-// SetPrecision selects the finalisation compute tier. TierF32 routes
-// session updates through the fused float32 kernels — roughly 2-4× the f64
-// throughput at the paper's hidden sizes — and requires a cell with an f32
-// tier (the GRU; stacked/LSTM/tanh cells return an error). All f32 paths
-// store bit-identical states; agreement with the f64 tier is bounded-error
-// (see DESIGN.md "Precision tiers"). Not safe to call concurrently with
-// event ingestion.
+// SetPrecision selects the inline finaliser's compute tier: TierF64 (the
+// bit-exact training reference, default) or TierF32, the fused float32
+// kernels — roughly 2-4× the f64 throughput at the paper's hidden sizes —
+// which requires a cell with an f32 tier (the GRU; stacked/LSTM/tanh cells
+// return an error). The stored wire format is the same either way, so the
+// tier can be switched mid-replay without a store rewrite; agreement with
+// the f64 tier is bounded-error (see DESIGN.md "Precision tiers"). Not safe
+// to call concurrently with event ingestion.
 func (p *StreamProcessor) SetPrecision(t nn.PrecisionTier) error {
-	if t == nn.TierF32 && !p.model.SupportsF32() {
-		return fmt.Errorf("serving: %s cell has no f32 inference tier", p.model.Cfg.Cell)
+	if err := checkTier(p.model, t); err != nil {
+		return err
 	}
-	p.precision = t
-	if t == nn.TierF32 {
-		if p.scratch32 == nil {
-			p.scratch32 = newUpdateScratch32(p.model)
-		}
-		if p.inferBatch > 1 && p.batchSc32 == nil {
-			p.batchSc32 = newBatchScratch32(p.model, p.inferBatch)
-		}
-	}
+	p.fin = newFinalizer(p.model, p.store, p.fin.maxBatch, t)
 	return nil
 }
 
 // Precision returns the finalisation compute tier.
-func (p *StreamProcessor) Precision() nn.PrecisionTier { return p.precision }
+func (p *StreamProcessor) Precision() nn.PrecisionTier { return p.fin.tier }
 
 // hiddenKey is the per-user KV key.
 func hiddenKey(userID int) string { return "h:" + strconv.Itoa(userID) }
@@ -164,72 +143,31 @@ func UserKeyHash(userID int) uint32 {
 	return h
 }
 
-// updateScratch holds the reusable buffers of the finalisation hot path —
-// one per processor (sequential) or per worker lane (parallel), so GRU
-// updates run allocation-free apart from the store's defensive copies.
-type updateScratch struct {
-	state, next, in, cell tensor.Vector
-	enc                   []byte
-}
-
-func newUpdateScratch(m *core.Model) *updateScratch {
-	return &updateScratch{
-		state: tensor.NewVector(m.StateSize()),
-		next:  tensor.NewVector(m.StateSize()),
-		in:    tensor.NewVector(m.UpdateDim()),
-		cell:  tensor.NewVector(m.UpdateScratchSize()),
-	}
-}
-
-// Advance moves the virtual clock to ts, firing any due timers in order.
-// With a sink set (SetSink), due sessions are submitted to it instead of
-// being finalised inline.
+// Advance moves the virtual clock to ts, firing any due timers in order:
+// each due session goes to the sink if one is set, otherwise the drained
+// group is finalised inline before Advance returns.
 func (p *StreamProcessor) Advance(ts int64) {
-	if p.sink != nil {
-		p.drainToSink(ts)
-		return
-	}
-	if p.inferBatch > 1 {
-		p.drainBatched(ts)
-		if ts > p.now {
-			p.now = ts
-		}
-		return
-	}
 	for len(p.timers) > 0 && p.timers[0].fireAt <= ts {
 		e := heap.Pop(&p.timers).(timerEntry)
 		p.now = e.fireAt
-		p.finalize(e.sessionID)
+		buf, ok := p.buffers[e.sessionID]
+		if !ok {
+			continue
+		}
+		delete(p.buffers, e.sessionID)
+		if p.sink != nil {
+			p.sink(*buf)
+		} else {
+			p.due = append(p.due, *buf)
+		}
+	}
+	if len(p.due) > 0 {
+		p.fin.Finalize(p.due)
+		p.UpdatesRun += int64(len(p.due))
+		p.due = p.due[:0]
 	}
 	if ts > p.now {
 		p.now = ts
-	}
-}
-
-// drainBatched pops every timer due at ts, in timer order, and finalises
-// the sessions in groups of up to inferBatch. Group chunking preserves the
-// global drain order, and the wave partition inside each group preserves
-// per-user order, so stored states match the per-session path byte for
-// byte.
-func (p *StreamProcessor) drainBatched(ts int64) {
-	for len(p.timers) > 0 && p.timers[0].fireAt <= ts {
-		p.due = p.due[:0]
-		for len(p.timers) > 0 && p.timers[0].fireAt <= ts && len(p.due) < p.inferBatch {
-			e := heap.Pop(&p.timers).(timerEntry)
-			p.now = e.fireAt
-			if buf, ok := p.buffers[e.sessionID]; ok {
-				delete(p.buffers, e.sessionID)
-				p.due = append(p.due, buf)
-			}
-		}
-		if len(p.due) > 0 {
-			if p.precision == nn.TierF32 {
-				applySessionUpdateBatch32(p.model, p.store, p.due, p.batchSc32)
-			} else {
-				applySessionUpdateBatch(p.model, p.store, p.due, p.batchSc)
-			}
-			p.UpdatesRun += int64(len(p.due))
-		}
 	}
 }
 
@@ -237,10 +175,10 @@ func (p *StreamProcessor) drainBatched(ts int64) {
 // finalisation timer.
 func (p *StreamProcessor) OnSessionStart(sessionID string, userID int, ts int64, cat []int) {
 	p.Advance(ts)
-	p.buffers[sessionID] = &sessionBuffer{
-		userID: userID,
-		start:  ts,
-		cat:    append([]int(nil), cat...),
+	p.buffers[sessionID] = &DueSession{
+		UserID: userID,
+		Start:  ts,
+		Cat:    append([]int(nil), cat...),
 	}
 	heap.Push(&p.timers, timerEntry{
 		fireAt:    ts + p.model.Schema.SessionLength + p.Epsilon,
@@ -254,52 +192,8 @@ func (p *StreamProcessor) OnSessionStart(sessionID string, userID int, ts int64,
 func (p *StreamProcessor) OnAccess(sessionID string, ts int64) {
 	p.Advance(ts)
 	if buf, ok := p.buffers[sessionID]; ok {
-		buf.accessed = true
+		buf.Accessed = true
 	}
-}
-
-// finalize joins the session's events and runs the hidden update.
-func (p *StreamProcessor) finalize(sessionID string) {
-	buf, ok := p.buffers[sessionID]
-	if !ok {
-		return
-	}
-	delete(p.buffers, sessionID)
-	if p.precision == nn.TierF32 {
-		applySessionUpdate32(p.model, p.store, buf, p.scratch32)
-	} else {
-		applySessionUpdate(p.model, p.store, buf, p.scratch)
-	}
-	p.UpdatesRun++
-}
-
-// applySessionUpdate is the finalisation step shared by the sequential and
-// parallel processors: read the user's hidden state, fold the session in
-// with RNNupdate, write the new state back. Model inference is read-only
-// and the Store implementations are concurrency-safe, so this is safe to
-// run from many goroutines as long as no two run for the same user at once
-// and each caller owns its scratch.
-func applySessionUpdate(model *core.Model, store Store, buf *sessionBuffer, sc *updateScratch) {
-	key := hiddenKey(buf.userID)
-	var lastTS int64
-	decoded := false
-	if raw, found := store.Get(key); found {
-		// DecodeHiddenInto fails on a dimension mismatch, which doubles as
-		// the stale-state check (len == StateSize) of the scratch-free path.
-		lastTS, decoded = DecodeHiddenInto(raw, sc.state)
-	}
-	if !decoded {
-		sc.state.Zero() // h_0 (§6.1)
-		lastTS = 0
-	}
-	var dt int64
-	if lastTS != 0 {
-		dt = buf.start - lastTS
-	}
-	in := model.BuildUpdateInput(buf.start, buf.cat, buf.accessed, dt, sc.in)
-	model.UpdateStateInto(sc.next, sc.state, in, sc.cell)
-	sc.enc = EncodeHiddenInto(sc.enc, sc.next, buf.start)
-	store.Put(key, sc.enc)
 }
 
 // Flush fires all outstanding timers regardless of the clock (end of

@@ -64,10 +64,7 @@ func TestF32FinalisationMatchesAcrossPaths(t *testing.T) {
 		requireSameStates(t, fmt.Sprintf("f32 sequential batch %d", batch), users, want, store)
 
 		parStore := NewShardedKVStore(16)
-		par, err := NewParallelStreamProcessorTier(m, parStore, 4, batch, nn.TierF32)
-		if err != nil {
-			t.Fatalf("parallel f32: %v", err)
-		}
+		par := mustParallel(t, m, parStore, 4, batch, nn.TierF32)
 		for _, e := range evs {
 			par.OnSessionStart(e.sid, e.userID, e.ts, e.cat)
 			if e.access {
@@ -102,10 +99,7 @@ func TestF32BatchFinalizer(t *testing.T) {
 	}
 	for _, maxBatch := range []int{3, 16, len(evs)} {
 		store := NewKVStore()
-		f, err := NewBatchFinalizerTier(m, store, maxBatch, nn.TierF32)
-		if err != nil {
-			t.Fatalf("NewBatchFinalizerTier: %v", err)
-		}
+		f := mustFinalizer(t, m, store, maxBatch, nn.TierF32)
 		f.Finalize(due)
 		requireSameStates(t, fmt.Sprintf("f32 finalizer max %d", maxBatch), users, want, store)
 	}
@@ -209,8 +203,8 @@ func TestF32PrecisionRequiresCellSupport(t *testing.T) {
 	if p.Precision() != nn.TierF64 {
 		t.Fatalf("precision after rejected switch: %v, want f64", p.Precision())
 	}
-	if _, err := NewParallelStreamProcessorTier(lstm, NewShardedKVStore(4), 2, 4, nn.TierF32); err == nil {
-		t.Fatal("NewParallelStreamProcessorTier(f32) must fail for an LSTM cell")
+	if _, err := NewParallelStreamProcessor(lstm, NewShardedKVStore(4), 2, 4, nn.TierF32); err == nil {
+		t.Fatal("NewParallelStreamProcessor(f32) must fail for an LSTM cell")
 	}
 	if _, err := NewBatchFinalizerTier(lstm, NewKVStore(), 8, nn.TierF32); err == nil {
 		t.Fatal("NewBatchFinalizerTier(f32) must fail for an LSTM cell")

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/nn"
 	"repro/internal/serving"
 	"repro/internal/synth"
 )
@@ -80,7 +81,10 @@ func TestProcessorsByteIdenticalOnStateStore(t *testing.T) {
 		var acc func(sid string, ts int64)
 		var fin func()
 		if parallel {
-			p := serving.NewParallelStreamProcessor(m, store, 4)
+			p, err := serving.NewParallelStreamProcessor(m, store, 4, 1, nn.TierF64)
+			if err != nil {
+				t.Fatalf("NewParallelStreamProcessor: %v", err)
+			}
 			on, acc, fin = p.OnSessionStart, p.OnAccess, p.Close
 		} else {
 			p := serving.NewStreamProcessor(m, store)
