@@ -195,8 +195,8 @@ func main() {
 
 		serveAddr = flag.String("serve", "", "run as an online HTTP server on this address (e.g. :8080) instead of replaying in-process")
 		wireAddr  = flag.String("wire-addr", "", "also serve the binary wire protocol (hot event/predict path) on this address; requires -serve")
-		maxBatch  = flag.Int("max-batch", 32, "server micro-batch flush size (finalise and predict)")
-		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "server micro-batch flush deadline (0 = greedy flush, no waiting)")
+		maxBatch  = flag.Int("max-batch", 32, "server finalisation micro-batch flush size")
+		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "server finalisation micro-batch flush deadline (0 = greedy flush, no waiting); predicts never wait on it")
 		laneDepth = flag.Int("lane-depth", 256, "server per-lane finalisation queue bound (full queues shed events with 429)")
 		replicaOf = flag.String("replica-of", "", "follow this primary's base URL, replicating its states (requires -serve and -persist)")
 		follow    = flag.Bool("follow", false, "start as a standby follower with no primary yet; POST /replicate/follow assigns one (requires -serve and -persist)")

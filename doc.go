@@ -31,7 +31,8 @@
 //     (WAL + snapshots, idle eviction, byte budget, int8 and tagged-f32
 //     storage tiers)
 //   - internal/server — request-driven online serving tier: HTTP/JSON
-//     and wire fronts over serving's ingest front and lane pool (§9)
+//     and wire fronts over serving's ingest front and lane pool, with
+//     predicts answered inline on the goroutine that read them (§9)
 //   - internal/cluster — user-sharded serving cluster: consistent-hash
 //     ring, forwarding/aggregating router with per-route deadlines,
 //     retries, per-replica circuit breakers and degraded predicts,

@@ -55,7 +55,9 @@ func startReplica(t *testing.T, m *core.Model) *replica {
 	}
 	srv := server.New(server.Options{
 		Model: m, Store: ss, State: ss, Threshold: 0.5,
-		Lanes: 2, MaxBatch: 8, MaxWait: time.Millisecond, LaneDepth: 256,
+		// LaneDepth exceeds any parity log, so a run asserting zero shed
+		// cannot shed however the box is loaded.
+		Lanes: 2, MaxBatch: 8, MaxWait: time.Millisecond, LaneDepth: 4096,
 	})
 	return &replica{srv: srv, state: ss, ts: httptest.NewServer(srv.Handler()), dir: dir}
 }

@@ -515,3 +515,46 @@ func TestEvaluateEmptyUser(t *testing.T) {
 		t.Fatalf("empty user must yield no predictions")
 	}
 }
+
+// TestPredictIntoMatchesPredict holds the allocation-free inference forward
+// to the reference bit for bit, and reuses one scratch across calls so a
+// stale intermediate would show.
+func TestPredictIntoMatchesPredict(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"latent-cross", Config{Cell: nn.CellGRU, HiddenDim: 6, MLPHidden: 5, LatentCross: true, Seed: 3}},
+		{"no-latent-cross", Config{Cell: nn.CellGRU, HiddenDim: 6, MLPHidden: 5, LatentCross: false, Seed: 3}},
+		{"dropout-configured", Config{Cell: nn.CellGRU, HiddenDim: 6, MLPHidden: 5, LatentCross: true, DropoutRate: 0.5, Seed: 4}},
+		{"lstm", Config{Cell: nn.CellLSTM, HiddenDim: 4, MLPHidden: 7, LatentCross: true, Seed: 5}},
+		{"minimal", Config{Cell: nn.CellGRU, HiddenDim: 4, MLPHidden: 3, LatentCross: true, Minimal: true, Seed: 6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tinyModel(tc.cfg)
+			u, _ := tinyUser(12, 11)
+			states, _ := m.runUpdates(u, false)
+			sc := m.NewPredictScratch()
+			for i, s := range u.Sessions {
+				h := states[i+1][:m.HiddenDim()]
+				f := m.BuildPredictInput(s.Timestamp, s.Cat, int64(i)*3600, nil)
+				hBefore, fBefore := h.Clone(), f.Clone()
+				want := m.Predict(h, f)
+				got := m.PredictInto(h, f, sc)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("session %d: PredictInto %v, Predict %v", i, got, want)
+				}
+				for j := range h {
+					if h[j] != hBefore[j] {
+						t.Fatalf("session %d: PredictInto mutated h", i)
+					}
+				}
+				for j := range f {
+					if f[j] != fBefore[j] {
+						t.Fatalf("session %d: PredictInto mutated f", i)
+					}
+				}
+			}
+		})
+	}
+}

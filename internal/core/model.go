@@ -343,6 +343,47 @@ func (m *Model) Predict(h, f tensor.Vector) float64 {
 	return nn.Sigmoid(m.predictForward(h, f, false, nil, nil))
 }
 
+// PredictScratch is the working memory of one PredictInto call, sized for
+// the model that made it. Not safe for concurrent use; pool one per
+// goroutine.
+type PredictScratch struct {
+	lf    tensor.Vector // L·f
+	mlpIn tensor.Vector // [h ∘ (1+lf); f]
+	z     tensor.Vector // MLP hidden activations
+	out   tensor.Vector // the logit
+}
+
+// NewPredictScratch allocates the scratch PredictInto needs.
+func (m *Model) NewPredictScratch() *PredictScratch {
+	return &PredictScratch{
+		lf:    tensor.NewVector(m.Cfg.HiddenDim),
+		mlpIn: tensor.NewVector(m.Cfg.HiddenDim + m.predictDim),
+		z:     tensor.NewVector(m.Cfg.MLPHidden),
+		out:   tensor.NewVector(1),
+	}
+}
+
+// PredictInto is Predict without allocations: the same operations in the
+// same order as the inference branch of predictForward, written into s —
+// h′ is built in place at the head of the MLP input, and the all-ones
+// dropout mask, which inference never reads, is skipped — so the result is
+// bit-identical to Predict.
+func (m *Model) PredictInto(h, f tensor.Vector, s *PredictScratch) float64 {
+	hp := s.mlpIn[:len(h)]
+	copy(hp, h)
+	if m.Cfg.LatentCross {
+		m.l.Forward(s.lf, f)
+		for i := range hp {
+			hp[i] *= 1 + s.lf[i]
+		}
+	}
+	copy(s.mlpIn[len(h):], f)
+	m.w1.Forward(s.z, s.mlpIn)
+	nn.ReLUVec(s.z, s.z)
+	m.w2.Forward(s.out, s.z)
+	return nn.Sigmoid(s.out[0])
+}
+
 // predictBackward propagates dLogit through RNNpredict, accumulating
 // parameter gradients and returning the gradient w.r.t. the visible hidden
 // vector h_k.

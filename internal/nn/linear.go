@@ -31,7 +31,10 @@ func (l *Linear) Params() Params { return Params{l.W, l.B} }
 // Forward computes dst = W·x + b. dst must have length Out and must not
 // alias x.
 func (l *Linear) Forward(dst, x tensor.Vector) {
-	l.W.Matrix().MulVec(dst, x)
+	// A stack view, as the GRU inference steps build theirs: Param.Matrix
+	// returns a heap pointer, one allocation per call on the predict path.
+	w := tensor.Matrix{Rows: l.Out, Cols: l.In, Data: l.W.Value}
+	w.MulVec(dst, x)
 	dst.Add(l.B.Value)
 }
 

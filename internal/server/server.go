@@ -5,8 +5,9 @@
 // serving.LanePool: due sessions park in the pool's bounded per-user-hash
 // lanes and are coalesced — flush on max-batch or max-wait — into the
 // wave-partitioned batched GEMM finaliser, so GEMM batch sizes form from
-// real traffic. Concurrent predict requests ride a bounded queue of their
-// own into the fan-out batch prediction path.
+// real traffic. A predict request is answered inline, on the goroutine that
+// read it: one KV lookup plus a small MLP (§9) is cheaper than any hand-off,
+// so it waits on no queue, timer or other request.
 //
 // Ordering and parity: a user's events must arrive in timestamp order (the
 // load generator shards users across connections to guarantee it), a
@@ -17,9 +18,9 @@
 // exposes the proof.
 //
 // Backpressure: when the finalisation backlog reaches the queue capacity,
-// POST /event returns 429 and the shed counter advances; when the predict
-// queue is full, POST /predict does the same. Bounded queues shed load
-// instead of growing without limit.
+// POST /event returns 429 and the shed counter advances; when PredictDepth
+// predicts are already running, POST /predict does the same. Bounded work
+// in flight sheds load instead of growing without limit.
 package server
 
 import (
@@ -120,29 +121,23 @@ type Options struct {
 	// always hashes to the same lane, which preserves per-user update
 	// order.
 	Lanes int
-	// MaxBatch flushes a queue when this many sessions have parked
-	// (<=0 selects 32). It also bounds the GEMM batch, so it is the online
-	// analogue of ppserve's -infer-batch.
+	// MaxBatch flushes a finalisation queue when this many sessions have
+	// parked (<=0 selects 32). It also bounds the GEMM batch, so it is the
+	// online analogue of ppserve's -infer-batch.
 	MaxBatch int
-	// MaxWait flushes a partial batch this long after the queue went
-	// non-empty. 0 selects 2ms; negative disables waiting (greedy flush —
-	// the batch-size-1 behaviour when MaxBatch is 1).
+	// MaxWait flushes a partial finalisation batch this long after the
+	// queue went non-empty. 0 selects 2ms; negative disables waiting (greedy
+	// flush — the batch-size-1 behaviour when MaxBatch is 1). Events are
+	// acknowledged at ingest and predicts never queue, so the wait is on no
+	// request's latency path.
 	MaxWait time.Duration
 	// LaneDepth bounds each finalisation queue (<=0 selects 256). Admission
 	// control sheds events with 429 once Lanes*LaneDepth finalisations are
 	// in flight.
 	LaneDepth int
-	// PredictDepth bounds the predict queue (<=0 selects 1024).
+	// PredictDepth bounds the predicts running at once (<=0 selects 1024);
+	// one more is shed with 429.
 	PredictDepth int
-	// PredictWorkers is the fan-out inside one predict batch (<=0 selects
-	// GOMAXPROCS).
-	PredictWorkers int
-}
-
-// predictItem is one parked predict request and its reply channel.
-type predictItem struct {
-	req serving.PredictRequest
-	ch  chan serving.Decision
 }
 
 // Server is the online serving tier. Create with New, serve with
@@ -164,10 +159,9 @@ type Server struct {
 	// the wave-partitioned finaliser.
 	pool *serving.LanePool
 
-	predictMu     sync.RWMutex
-	predictQ      chan predictItem
-	predictClosed bool
-	predictWG     sync.WaitGroup
+	// predictsInflight counts predicts between admitPredict and
+	// releasePredict — the whole of predict admission control.
+	predictsInflight atomic.Int64
 
 	events       atomic.Int64
 	eventsShed   atomic.Int64
@@ -195,9 +189,9 @@ type Server struct {
 	shutdown atomic.Bool
 }
 
-// New wires the serving stack and starts the lane pool and the predict
-// flusher. The server owns its queues and workers; the model, store and
-// statestore stay caller-owned.
+// New wires the serving stack and starts the lane pool. The server owns
+// its queues and workers; the model, store and statestore stay
+// caller-owned.
 func New(opts Options) *Server {
 	if opts.Lanes <= 0 {
 		opts.Lanes = runtime.GOMAXPROCS(0)
@@ -214,9 +208,6 @@ func New(opts Options) *Server {
 	if opts.PredictDepth <= 0 {
 		opts.PredictDepth = 1024
 	}
-	if opts.PredictWorkers <= 0 {
-		opts.PredictWorkers = runtime.GOMAXPROCS(0)
-	}
 	pool, err := serving.NewLanePool(opts.Model, opts.Store, serving.LaneConfig{
 		Lanes:    opts.Lanes,
 		Depth:    opts.LaneDepth,
@@ -230,19 +221,16 @@ func New(opts Options) *Server {
 		panic("server: " + err.Error() + " (gate on Model.SupportsF32)")
 	}
 	s := &Server{
-		opts:     opts,
-		svc:      serving.NewPredictionService(opts.Model, opts.Store, opts.Threshold),
-		proc:     serving.NewStreamProcessor(opts.Model, opts.Store),
-		pool:     pool,
-		predictQ: make(chan predictItem, opts.PredictDepth),
-		start:    time.Now(),
+		opts:  opts,
+		svc:   serving.NewPredictionService(opts.Model, opts.Store, opts.Threshold),
+		proc:  serving.NewStreamProcessor(opts.Model, opts.Store),
+		pool:  pool,
+		start: time.Now(),
 
 		wireListeners: map[net.Listener]struct{}{},
 		wireConns:     map[net.Conn]struct{}{},
 	}
 	s.proc.SetSink(pool.Submit)
-	s.predictWG.Add(1)
-	go s.runPredictFlusher()
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/event", s.handleEvent)
@@ -307,7 +295,8 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Shutdown drains the server gracefully: stop accepting requests, let
-// in-flight handlers finish, fire every outstanding session timer (a
+// in-flight handlers finish (a running predict is answered; one that
+// arrives after the latch gets 503), fire every outstanding session timer (a
 // buffered session's update is applied rather than lost), wait for the
 // micro-batcher to drain, and force a final statestore snapshot so a clean
 // reopen recovers byte-identical states. The whole drain is bounded by
@@ -354,14 +343,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining = true
 	s.proc.Flush()
 	s.mu.Unlock()
-	s.predictMu.Lock()
-	s.predictClosed = true
-	close(s.predictQ)
-	s.predictMu.Unlock()
 	if werr := waitCtx(ctx, s.pool.Close); werr != nil && err == nil {
-		err = werr
-	}
-	if werr := waitCtx(ctx, s.predictWG.Wait); werr != nil && err == nil {
 		err = werr
 	}
 	if s.opts.State != nil {
@@ -390,28 +372,28 @@ func waitCtx(ctx context.Context, wait func()) error {
 	}
 }
 
-// ---- predict micro-batcher ----
+// ---- predict admission ----
 
-// runPredictFlusher coalesces parked predict requests and serves them
-// through the fan-out batch prediction path, answering each parked
-// request on its reply channel.
-func (s *Server) runPredictFlusher() {
-	defer s.predictWG.Done()
-	items := make([]predictItem, 0, s.opts.MaxBatch)
-	reqs := make([]serving.PredictRequest, 0, s.opts.MaxBatch)
-	for it := range s.predictQ {
-		items = append(items[:0], it)
-		serving.FillBatch(s.predictQ, &items, s.opts.MaxBatch, s.opts.MaxWait)
-		reqs = reqs[:0]
-		for _, it := range items {
-			reqs = append(reqs, it.req)
-		}
-		decs := s.svc.OnSessionStartBatch(reqs, s.opts.PredictWorkers)
-		for i := range items {
-			items[i].ch <- decs[i]
-		}
-		s.predicts.Add(int64(len(items)))
+// admitPredict claims one of the PredictDepth in-flight predict slots for
+// the calling goroutine, which then runs the prediction itself and calls
+// releasePredict; false means the request is shed (and counted). Admission
+// is one atomic counter: there is no queue to fill, so "full" means
+// PredictDepth predictions are running right now. Callers check the
+// shutdown latch first.
+func (s *Server) admitPredict() bool {
+	if s.predictsInflight.Add(1) > int64(s.opts.PredictDepth) {
+		s.predictsInflight.Add(-1)
+		s.predictsShed.Add(1)
+		return false
 	}
+	return true
+}
+
+// releasePredict returns the slot admitPredict claimed and counts the
+// prediction as served.
+func (s *Server) releasePredict() {
+	s.predictsInflight.Add(-1)
+	s.predicts.Add(1)
 }
 
 // ---- handlers ----
@@ -430,8 +412,9 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 
 // checkCat validates a request's context categories against the model
 // schema. The feature encoders index by category value, so an unchecked
-// out-of-range request would panic a flusher goroutine instead of
-// returning 400.
+// out-of-range value would panic the goroutine that encodes it — a lane
+// worker for an event, the request's own goroutine for a predict — instead
+// of returning 400.
 func (s *Server) checkCat(cat []int) error {
 	schema := s.opts.Model.Schema
 	if len(cat) != len(schema.Cat) {
@@ -520,8 +503,8 @@ func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]int{"accepted": len(evs)})
 }
 
-// handlePredict parks the request in the predict queue and waits for the
-// micro-batched decision.
+// handlePredict validates the request and runs the prediction on this
+// handler goroutine.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only")
@@ -544,26 +527,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "predict: "+err.Error())
 		return
 	}
-	it := predictItem{
-		req: serving.PredictRequest{UserID: in.User, Ts: in.Ts, Cat: in.Cat},
-		ch:  make(chan serving.Decision, 1),
-	}
-	s.predictMu.RLock()
-	if s.predictClosed {
-		s.predictMu.RUnlock()
+	if s.shutdown.Load() {
 		writeErr(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
-	select {
-	case s.predictQ <- it:
-		s.predictMu.RUnlock()
-	default:
-		s.predictMu.RUnlock()
-		s.predictsShed.Add(1)
-		writeErr(w, http.StatusTooManyRequests, "predict queue full, request shed")
+	if !s.admitPredict() {
+		writeErr(w, http.StatusTooManyRequests, "too many predicts in flight, request shed")
 		return
 	}
-	dec := <-it.ch
+	dec := s.svc.OnSessionStart(in.User, in.Ts, in.Cat)
+	s.releasePredict()
 	writeJSON(w, http.StatusOK, PredictOut{Probability: dec.Probability, Precompute: dec.Precompute})
 }
 

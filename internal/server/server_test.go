@@ -118,7 +118,7 @@ func TestHTTPReplayMatchesSequential(t *testing.T) {
 		t.Fatalf("/digest %s, want %s", dg, want)
 	}
 
-	// Batched predictions must agree with direct in-process predictions
+	// HTTP predictions must agree with direct in-process predictions
 	// over the (now identical) state.
 	svc := serving.NewPredictionService(m, seq, 0.5)
 	for i := 0; i < 10; i++ {

@@ -12,10 +12,8 @@ import (
 	"bufio"
 	"encoding/binary"
 	"net"
-	"sync"
 
 	"repro/internal/faults"
-	"repro/internal/serving"
 	"repro/internal/wire"
 )
 
@@ -92,18 +90,19 @@ func (s *Server) closeWire() {
 // serveWireConn runs one connection: version handshake, then a frame
 // loop. Event batches are validated whole, then applied whole under one
 // ingest-lock hold (the same all-or-nothing contract as POST /event, and
-// what keeps a start/access pair atomic). Predicts park in the batcher
-// queue and are answered out of band so a slow predict never blocks the
-// read loop. Any malformed frame — bad CRC, bad type, truncated batch —
-// drops the connection: the stream position cannot be trusted, and the
-// client's reconnect is transparent.
+// what keeps a start/access pair atomic). Predicts run inline, like
+// everything else on the connection: the read loop is the connection's
+// only writer, and a local prediction (one KV read, a small MLP) costs
+// less than handing it to another goroutine would. Any malformed frame —
+// bad CRC, bad type, truncated batch, unparsable predict — drops the
+// connection: the stream position cannot be trusted, and the client's
+// reconnect is transparent.
 func (s *Server) serveWireConn(conn net.Conn) {
 	defer s.wireWG.Done()
 	defer s.dropWireConn(conn)
 
 	br := bufio.NewReaderSize(conn, 64<<10)
 	fw := wire.NewWriter(bufio.NewWriterSize(conn, 64<<10))
-	var wmu sync.Mutex // serializes ack writes with async predict replies
 
 	typ, p, err := wire.ReadFrame(br, nil)
 	if err != nil || wire.CheckHello(typ, p) != nil {
@@ -116,6 +115,7 @@ func (s *Server) serveWireConn(conn net.Conn) {
 	buf := p[:cap(p)]
 	var er wire.EventReader
 	var ev wire.Event
+	var cat []int // predict category scratch, reused across frames
 	for {
 		typ, p, err := wire.ReadFrame(br, buf)
 		if err != nil {
@@ -129,20 +129,16 @@ func (s *Server) serveWireConn(conn net.Conn) {
 		switch typ {
 		case wire.FEvents:
 			status, accepted, msg := s.ingestWire(&er, &ev, p[8:])
-			wmu.Lock()
 			err = fw.WriteAck(reqID, status, accepted, msg)
-			if err == nil {
-				err = fw.Flush()
-			}
-			wmu.Unlock()
-			if err != nil {
-				return
-			}
 		case wire.FPredict:
-			if !s.parkWirePredict(conn, fw, &wmu, reqID, p[8:]) {
-				return
+			var pr wire.PredictReply
+			if pr, err = s.predictWire(p[8:], &cat); err == nil {
+				err = fw.WritePredictReply(reqID, pr)
 			}
 		default:
+			return
+		}
+		if err != nil || fw.Flush() != nil {
 			return
 		}
 	}
@@ -208,79 +204,33 @@ func (s *Server) ingestWire(er *wire.EventReader, ev *wire.Event, batch []byte) 
 	return wire.StatusOK, n, ""
 }
 
-// parkWirePredict validates and parks one predict request, answering out
-// of band when the micro-batched decision lands. Returns false when the
-// connection must drop (malformed payload).
-func (s *Server) parkWirePredict(conn net.Conn, fw *wire.Writer, wmu *sync.Mutex, reqID uint64, payload []byte) bool {
-	replyStatus := func(status byte, msg string) bool {
-		wmu.Lock()
-		err := fw.WritePredictReply(reqID, wire.PredictReply{Status: status, Msg: msg})
-		if err == nil {
-			err = fw.Flush()
-		}
-		wmu.Unlock()
-		return err == nil
-	}
+// predictWire serves one predict request with POST /predict semantics, on
+// the connection's read loop. Categories decode into the connection's
+// scratch, which the prediction is done with before the next frame is
+// read. A non-nil error means the payload is malformed and the connection
+// must drop.
+func (s *Server) predictWire(payload []byte, cat *[]int) (wire.PredictReply, error) {
 	if err := faults.Fire("server.predict", "wire"); err != nil {
-		return replyStatus(wire.StatusError, err.Error())
+		return wire.PredictReply{Status: wire.StatusError, Msg: err.Error()}, nil
 	}
-	pr, _, err := wire.ParsePredict(payload, nil)
+	pr, grown, err := wire.ParsePredict(payload, *cat)
+	*cat = grown
 	if err != nil {
-		return false
+		return wire.PredictReply{}, err
 	}
 	if pr.Ts <= 0 {
-		return replyStatus(wire.StatusBadRequest, "predict needs user >= 0 and ts > 0")
+		return wire.PredictReply{Status: wire.StatusBadRequest, Msg: "predict needs user >= 0 and ts > 0"}, nil
 	}
 	if err := s.checkCat(pr.Cat); err != nil {
-		return replyStatus(wire.StatusBadRequest, "predict: "+err.Error())
+		return wire.PredictReply{Status: wire.StatusBadRequest, Msg: "predict: " + err.Error()}, nil
 	}
-	it := predictItem{
-		// Cat is copied: it aliases the read buffer, which the next frame
-		// overwrites while this request is still parked.
-		req: serving.PredictRequest{UserID: pr.User, Ts: pr.Ts, Cat: append([]int(nil), pr.Cat...)},
-		ch:  make(chan serving.Decision, 1),
-	}
-	s.predictMu.RLock()
-	if s.predictClosed {
-		s.predictMu.RUnlock()
-		return replyStatus(wire.StatusDraining, "server draining")
-	}
-	select {
-	case s.predictQ <- it:
-		s.predictMu.RUnlock()
-	default:
-		s.predictMu.RUnlock()
-		s.predictsShed.Add(1)
-		return replyStatus(wire.StatusShed, "predict queue full, request shed")
-	}
-	s.wireMu.Lock()
 	if s.shutdown.Load() {
-		s.wireMu.Unlock()
-		// Shutdown is racing this park; the flusher still answers the
-		// item, but the reply goroutine must not join a WaitGroup that
-		// may already be draining. Answer inline instead.
-		dec := <-it.ch
-		return writeWireDecision(fw, wmu, reqID, dec)
+		return wire.PredictReply{Status: wire.StatusDraining, Msg: "server draining"}, nil
 	}
-	s.wireWG.Add(1)
-	s.wireMu.Unlock()
-	go func() {
-		defer s.wireWG.Done()
-		dec := <-it.ch
-		writeWireDecision(fw, wmu, reqID, dec)
-	}()
-	return true
-}
-
-func writeWireDecision(fw *wire.Writer, wmu *sync.Mutex, reqID uint64, dec serving.Decision) bool {
-	wmu.Lock()
-	defer wmu.Unlock()
-	if err := fw.WritePredictReply(reqID, wire.PredictReply{
-		Status:      wire.StatusOK,
-		Probability: dec.Probability,
-		Precompute:  dec.Precompute,
-	}); err != nil {
-		return false
+	if !s.admitPredict() {
+		return wire.PredictReply{Status: wire.StatusShed, Msg: "too many predicts in flight, request shed"}, nil
 	}
-	return fw.Flush() == nil
+	dec := s.svc.OnSessionStart(pr.User, pr.Ts, pr.Cat)
+	s.releasePredict()
+	return wire.PredictReply{Status: wire.StatusOK, Probability: dec.Probability, Precompute: dec.Precompute}, nil
 }

@@ -97,7 +97,7 @@ func (lp *LanePool) run(lane chan DueSession, fin *BatchFinalizer) {
 	batch := make([]DueSession, 0, lp.maxBatch)
 	for d := range lane {
 		batch = append(batch[:0], d)
-		FillBatch(lane, &batch, lp.maxBatch, lp.maxWait)
+		fillBatch(lane, &batch, lp.maxBatch, lp.maxWait)
 		fin.Finalize(batch)
 		lp.batches.Add(1)
 		lp.updatesRun.Add(int64(len(batch)))
@@ -110,10 +110,10 @@ func (lp *LanePool) run(lane chan DueSession, fin *BatchFinalizer) {
 	}
 }
 
-// FillBatch coalesces queued items into batch: greedily take whatever is
+// fillBatch coalesces queued items into batch: greedily take whatever is
 // already queued, then wait up to maxWait for a fuller flush. It returns
 // early when the batch fills or the queue closes.
-func FillBatch[T any](q chan T, batch *[]T, maxBatch int, maxWait time.Duration) {
+func fillBatch(q chan DueSession, batch *[]DueSession, maxBatch int, maxWait time.Duration) {
 greedy:
 	for len(*batch) < maxBatch {
 		select {

@@ -35,11 +35,30 @@ type PredictionService struct {
 	// was silently indistinguishable from a new user.
 	ColdStarts     atomic.Int64
 	DecodeFailures atomic.Int64
+
+	// scratch pools *predictScratch, so a steady-state prediction allocates
+	// only its key string and the store's Get copy.
+	scratch sync.Pool
+}
+
+// predictScratch is the working memory of one OnSessionStart call.
+type predictScratch struct {
+	h   tensor.Vector // decoded recurrent state, StateSize long
+	f   tensor.Vector // predict input, PredictDim long
+	fwd *core.PredictScratch
 }
 
 // NewPredictionService wires a model and store.
 func NewPredictionService(model *core.Model, store Store, threshold float64) *PredictionService {
-	return &PredictionService{model: model, store: store, Threshold: threshold}
+	s := &PredictionService{model: model, store: store, Threshold: threshold}
+	s.scratch.New = func() any {
+		return &predictScratch{
+			h:   tensor.NewVector(model.StateSize()),
+			f:   tensor.NewVector(model.PredictDim()),
+			fwd: model.NewPredictScratch(),
+		}
+	}
+	return s
 }
 
 // Decision is the outcome of one session-startup prediction.
@@ -51,25 +70,26 @@ type Decision struct {
 // OnSessionStart serves one prediction. Users with no stored hidden state
 // fall back to h_0 (cold start, §9).
 func (s *PredictionService) OnSessionStart(userID int, ts int64, cat []int) Decision {
-	var h tensor.Vector
+	sc := s.scratch.Get().(*predictScratch)
 	var lastTS int64
+	warm := false
 	if raw, ok := s.store.Get(hiddenKey(userID)); ok {
-		if dec, t, ok2 := DecodeHidden(raw); ok2 && len(dec) == s.model.StateSize() {
-			h, lastTS = dec, t
-		} else {
+		// DecodeHiddenInto's length check is the state-size check.
+		if lastTS, warm = DecodeHiddenInto(raw, sc.h); !warm {
 			s.DecodeFailures.Add(1)
 		}
 	}
-	if h == nil {
+	if !warm {
 		s.ColdStarts.Add(1)
-		h = s.model.InitialState()
+		sc.h.Zero() // h_0
 	}
 	var sinceK int64
 	if lastTS != 0 {
 		sinceK = ts - lastTS
 	}
-	f := s.model.BuildPredictInput(ts, cat, sinceK, nil)
-	p := s.model.Predict(h[:s.model.HiddenDim()], f)
+	f := s.model.BuildPredictInput(ts, cat, sinceK, sc.f)
+	p := s.model.PredictInto(sc.h[:s.model.HiddenDim()], f, sc.fwd)
+	s.scratch.Put(sc)
 	s.Predictions.Add(1)
 	d := Decision{Probability: p, Precompute: p >= s.Threshold}
 	if d.Precompute {
@@ -89,10 +109,10 @@ type PredictRequest struct {
 // the requests across `workers` goroutines (<=0 selects GOMAXPROCS).
 // Results are returned in request order; decisions are identical to
 // calling OnSessionStart per request, because predictions read the store
-// but never write it. This is the multi-core session-startup path: at peak
-// traffic the serving tier receives many session starts per scheduling
-// quantum, and each prediction is one KV read plus a small MLP, so the
-// batch parallelises near-linearly.
+// but never write it. It is the offline replay's fan-out (ppserve -workers,
+// the serving experiments); the online server answers each predict inline
+// on the goroutine that read it, because one KV read plus a small MLP is
+// cheaper than any hand-off.
 func (s *PredictionService) OnSessionStartBatch(reqs []PredictRequest, workers int) []Decision {
 	out := make([]Decision, len(reqs))
 	if len(reqs) == 0 {
