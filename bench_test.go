@@ -144,7 +144,7 @@ func BenchmarkRNNPredict(b *testing.B) {
 	cfg.MLPHidden = 128
 	m := core.New(synth.MobileTabSchema(), cfg)
 	h := tensor.NewVector(m.HiddenDim())
-	tensor.NewRNG(1).FillNormal(h, 0.3)
+	tensor.NewRNG(1).FillUniform(h, -0.5, 0.5)
 	f := m.BuildPredictInput(synth.DefaultStart, []int{5, 10}, 3600, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -216,8 +216,8 @@ func BenchmarkServingPrediction(b *testing.B) {
 	m := core.New(synth.MobileTabSchema(), cfg)
 	store := serving.NewKVStore()
 	h := tensor.NewVector(m.StateSize())
-	tensor.NewRNG(3).FillNormal(h, 0.3)
-	store.Put("h:1", serving.EncodeHidden(h, synth.DefaultStart-3600))
+	tensor.NewRNG(3).FillUniform(h, -0.5, 0.5)
+	store.Put("h:1", serving.EncodeHiddenInto(nil, h, synth.DefaultStart-3600))
 	svc := serving.NewPredictionService(m, store, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,31 +1,36 @@
-// Command ppescape is the escape-analysis regression gate. It rebuilds
-// the packages named in the pinned hot-path config with -gcflags=-m in
-// a throwaway build cache, attributes every heap-escape message to its
-// enclosing function, and exits non-zero if a pinned function carries
-// an escape its baseline does not allow.
+// Command ppescape is the escape-analysis regression gate. It builds
+// the packages named in the pinned hot-path config with -gcflags=-m,
+// attributes every heap-escape message to its enclosing function, and
+// exits non-zero if a pinned function carries an escape its baseline
+// does not allow.
 //
 // Usage:
 //
-//	ppescape [-config cmd/ppescape/hotpaths.conf] [-keep-cache] [-v]
+//	ppescape [-config cmd/ppescape/hotpaths.conf] [-v]
 //
-// The throwaway GOCACHE exists because -m diagnostics are only emitted
-// when the compiler actually runs; against a warm cache the gate would
-// pass vacuously. -keep-cache trades that safety for speed in local
-// iteration.
+// The build runs on the ambient build cache. That is safe: cmd/go
+// replays a cached compile's -m diagnostics on a hit, and an edit to a
+// pinned package changes its cache key, so a warm run reports exactly
+// what a from-scratch compile would (TestWarmCacheReplaysAndTracksEdits
+// in internal/analysis/escape checks both halves). -v prints the
+// escapes sorted by file, line and message, so two reports compare byte
+// for byte.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"repro/internal/analysis/escape"
 )
 
 func main() {
 	configPath := flag.String("config", filepath.Join("cmd", "ppescape", "hotpaths.conf"), "pinned hot-path list")
-	keepCache := flag.Bool("keep-cache", false, "reuse the ambient GOCACHE (fast, but may skip compilation and miss escapes)")
 	verbose := flag.Bool("v", false, "print every escape attributed to a pinned package, including allowed ones")
 	flag.Parse()
 
@@ -49,12 +54,17 @@ func main() {
 		fatal(fmt.Errorf("%s pins no functions", *configPath))
 	}
 
-	out, err := escape.RunBuild(root, escape.Pkgs(hot), !*keepCache)
+	out, err := escape.RunBuild(root, escape.Pkgs(hot))
 	if err != nil {
 		fatal(err)
 	}
 	escapes := escape.ParseBuildOutput(out)
 	if *verbose {
+		// Build output arrives in package-completion order, which varies
+		// from run to run; sort so the report is reproducible.
+		slices.SortFunc(escapes, func(a, b escape.Escape) int {
+			return cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line), strings.Compare(a.Msg, b.Msg))
+		})
 		for _, e := range escapes {
 			fmt.Printf("escape: %s:%d: %s\n", e.File, e.Line, e.Msg)
 		}

@@ -15,7 +15,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -216,25 +215,18 @@ func recvBase(e ast.Expr) string {
 }
 
 // RunBuild compiles the given module-relative package dirs with
-// -gcflags=-m and returns the compiler diagnostics. With freshCache it
-// builds in a throwaway GOCACHE: -m output is only emitted when the
-// compiler actually runs, so a warm cache would silently produce an
-// empty (vacuously passing) report.
-func RunBuild(moduleRoot string, pkgDirs []string, freshCache bool) (string, error) {
+// -gcflags=-m on the ambient build cache and returns the compiler
+// diagnostics. A cache hit does not lose them: cmd/go stores each
+// compile's diagnostics with its output and replays them on a hit, and
+// an edited source changes the action key, so the report always
+// describes the current tree (TestWarmCacheReplaysAndTracksEdits).
+func RunBuild(moduleRoot string, pkgDirs []string) (string, error) {
 	args := []string{"build", "-gcflags=-m"}
 	for _, d := range pkgDirs {
 		args = append(args, "./"+filepath.ToSlash(d))
 	}
 	cmd := exec.Command("go", args...)
 	cmd.Dir = moduleRoot
-	if freshCache {
-		cache, err := os.MkdirTemp("", "ppescape-gocache-")
-		if err != nil {
-			return "", err
-		}
-		defer os.RemoveAll(cache)
-		cmd.Env = append(os.Environ(), "GOCACHE="+cache)
-	}
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		return "", fmt.Errorf("go %s: %w\n%s", strings.Join(args, " "), err, out)

@@ -164,16 +164,12 @@ func TestAttributeFlagsRegression(t *testing.T) {
 }
 
 // TestGateEndToEnd runs the real compiler over the leaking fixture
-// module and confirms the full pipeline — fresh-cache build, output
-// parse, attribution — reports the deliberate regression. Skipped in
-// -short mode: the throwaway GOCACHE forces a from-scratch compile.
+// module and confirms the full pipeline — build, output parse,
+// attribution — reports the deliberate regression.
 func TestGateEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fresh-GOCACHE build is slow; skipping in short mode")
-	}
 	root := writeHotModule(t)
 	hot := []HotPath{{Pkg: "internal/hot", Func: "New"}}
-	out, err := RunBuild(root, Pkgs(hot), true)
+	out, err := RunBuild(root, Pkgs(hot))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,14 +191,54 @@ func TestGateEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRepoHotPathsClean is the gate itself: the checked-in pinned list
-// over the real module must be clean. Skipped in -short mode for the
-// same fresh-cache reason; CI runs `go run ./cmd/ppescape` as a
-// dedicated step regardless.
-func TestRepoHotPathsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fresh-GOCACHE build is slow; skipping in short mode")
+// TestWarmCacheReplaysAndTracksEdits is why RunBuild may use a warm
+// build cache. On one cache: a cold build and a warm rebuild of the
+// seeded fixture both report the escape in New, and editing New so it
+// no longer escapes changes the next report.
+func TestWarmCacheReplaysAndTracksEdits(t *testing.T) {
+	t.Setenv("GOCACHE", t.TempDir())
+	root := writeHotModule(t)
+	hot := []HotPath{{Pkg: "internal/hot", Func: "New"}}
+	newViolations := func() int {
+		t.Helper()
+		out, err := RunBuild(root, Pkgs(hot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		violations, err := Attribute(root, ParseBuildOutput(out), hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(violations)
 	}
+	if n := newViolations(); n != 1 {
+		t.Fatalf("cold build: %d violations in New, want 1", n)
+	}
+	if n := newViolations(); n != 1 {
+		t.Fatalf("warm rebuild: %d violations in New, want 1 (cached -m output not replayed)", n)
+	}
+
+	path := filepath.Join(root, "internal", "hot", "hot.go")
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := strings.Replace(string(src), "\treturn &x\n", "\t_ = x\n\treturn nil\n", 1)
+	if fixed == string(src) {
+		t.Fatal("fixture edit matched nothing")
+	}
+	if err := os.WriteFile(path, []byte(fixed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n := newViolations(); n != 0 {
+		t.Fatalf("after removing the escape: %d violations in New, want 0 (stale cached report)", n)
+	}
+}
+
+// TestRepoHotPathsClean is the gate itself: the checked-in pinned list
+// over the real module must be clean. CI also runs `go run
+// ./cmd/ppescape` as a dedicated step.
+func TestRepoHotPathsClean(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", "..", ".."))
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +254,7 @@ func TestRepoHotPathsClean(t *testing.T) {
 	if len(hot) < 5 {
 		t.Fatalf("hotpaths.conf pins only %d functions — list looks truncated", len(hot))
 	}
-	out, err := RunBuild(root, Pkgs(hot), true)
+	out, err := RunBuild(root, Pkgs(hot))
 	if err != nil {
 		t.Fatal(err)
 	}

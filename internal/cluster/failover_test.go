@@ -23,7 +23,7 @@ func wireHidden(dim int, seed uint64, ts int64) []byte {
 	rng := tensor.NewRNG(seed)
 	h := tensor.NewVector(dim)
 	rng.FillUniform(h, -1, 1)
-	return serving.EncodeHidden(h, ts)
+	return serving.EncodeHiddenInto(nil, h, ts)
 }
 
 // shutdownKilled releases a replica whose listener was already torn down
@@ -52,8 +52,7 @@ type followerReplica struct {
 // (or a bare -follow standby when primary is "").
 func startFollower(t *testing.T, m *core.Model, primary string) *followerReplica {
 	t.Helper()
-	dir := t.TempDir()
-	ss, err := statestore.Open(statestore.Options{Dir: dir, Shards: 4})
+	ss, err := statestore.Open(statestore.Options{Dir: t.TempDir(), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func startFollower(t *testing.T, m *core.Model, primary string) *followerReplica
 	})
 	fol.Start()
 	return &followerReplica{
-		replica: &replica{srv: srv, state: ss, ts: httptest.NewServer(srv.Handler()), dir: dir},
+		replica: &replica{srv: srv, state: ss, ts: httptest.NewServer(srv.Handler())},
 		fol:     fol,
 	}
 }

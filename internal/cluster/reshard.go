@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"repro/internal/server"
-	"repro/internal/statestore"
 )
 
 // Drain-and-handoff: moving a key range between replicas without a single
@@ -119,92 +118,4 @@ func (r *Router) importEntries(url string, entries []server.TransferEntry) error
 		}
 	}
 	return nil
-}
-
-// RecoverFromDir rehomes a dead replica's states: it opens the replica's
-// statestore directory directly (the replica shut down or crashed; a
-// graceful shutdown snapshot — or WAL replay after a crash — holds every
-// finalised state), routes each state to its owner under the new ring, and
-// imports it there. The new replica set need not be "old minus dead": when
-// it implies further ownership changes between *surviving* replicas (e.g.
-// a fresh node replaces the dead one and takes arcs from survivors too),
-// those ranges move through the ordinary live drain-and-handoff before the
-// ring cuts over — otherwise they would silently cold-start on their new
-// owner while the old one kept stale copies. Returns the number of moved
-// states (rehomed + live transfers). dead is the dead replica's base URL;
-// the directory must no longer be appended to.
-func (r *Router) RecoverFromDir(dir, dead string, newReplicas []string) (moved int, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, u := range newReplicas {
-		if u == dead {
-			return 0, fmt.Errorf("cluster: new replica set still contains the dead replica %s", dead)
-		}
-	}
-	newRing, err := NewRing(newReplicas, r.opts.VNodes)
-	if err != nil {
-		return 0, err
-	}
-
-	// Live-to-live moves first: arcs the new ring takes from a *survivor*
-	// drain through the normal protocol. Moves whose source is the dead
-	// replica are covered by the directory export below (it routes every
-	// key by its new-ring owner); moves TO the dead replica cannot exist
-	// (it is not in the new ring).
-	liveSources := map[string]bool{}
-	var liveMoves []Move
-	for _, m := range MovedArcs(r.ring, newRing) {
-		if m.Src == dead {
-			continue
-		}
-		liveMoves = append(liveMoves, m)
-		liveSources[m.Src] = true
-	}
-	for src := range liveSources {
-		if err := r.flushReplica(src); err != nil {
-			return 0, fmt.Errorf("cluster: draining %s: %w", src, err)
-		}
-	}
-	for _, m := range liveMoves {
-		n, err := r.transfer(m)
-		if err != nil {
-			return moved, fmt.Errorf("cluster: handoff %s -> %s: %w", m.Src, m.Dst, err)
-		}
-		moved += n
-	}
-
-	ss, err := statestore.Open(statestore.Options{Dir: dir})
-	if err != nil {
-		return moved, fmt.Errorf("cluster: opening dead replica's store: %w", err)
-	}
-	// A close failure on the dead replica's store is surfaced (unless a
-	// more specific error already is): it can mean the recovery source
-	// directory is unhealthy, which the operator should know about even
-	// though the exported entries have already landed on their new owners.
-	defer func() {
-		if cerr := ss.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("cluster: closing dead replica's store: %w", cerr)
-		}
-	}()
-	perDst := map[string][]server.TransferEntry{}
-	err = ss.Export(func(string) bool { return true }, func(key string, stored []byte) error {
-		dst := newRing.OwnerOfKey(key)
-		perDst[dst] = append(perDst[dst], server.TransferEntry{
-			Key: key, Val: append([]byte(nil), stored...), Stored: true,
-		})
-		return nil
-	})
-	if err != nil {
-		return moved, err
-	}
-	for dst, entries := range perDst {
-		if err := r.importEntries(dst, entries); err != nil {
-			return moved, fmt.Errorf("cluster: rehoming to %s: %w", dst, err)
-		}
-		moved += len(entries)
-	}
-	r.ring = newRing
-	r.reshards++
-	r.moved += moved
-	return moved, nil
 }

@@ -113,7 +113,7 @@ type Router struct {
 	client *http.Client
 
 	// mu orders traffic against resharding and failover: handlers forward
-	// under RLock, Reshard/RecoverFromDir/Failover hold the write lock
+	// under RLock, Reshard and Failover hold the write lock
 	// across drain, transfer and ring cutover. The ring pointer (and the
 	// follower/spare topology) only change under the write lock.
 	mu        sync.RWMutex

@@ -11,6 +11,33 @@ import (
 	"repro/internal/tensor"
 )
 
+// sum returns the sum of v's elements.
+func sum(v tensor.Vector) float64 {
+	var s float64
+	for _, x := range v {
+		s += x
+	}
+	return s
+}
+
+// sumSq returns the sum of v's squared elements.
+func sumSq(v tensor.Vector) float64 {
+	var s float64
+	for _, x := range v {
+		s += x * x
+	}
+	return s
+}
+
+// flatten returns a copy of all parameter values as one vector, in order.
+func flatten(ps nn.Params) tensor.Vector {
+	var out tensor.Vector
+	for _, p := range ps {
+		out = append(out, p.Value...)
+	}
+	return out
+}
+
 func tinySchema() *dataset.Schema {
 	return &dataset.Schema{
 		Name:          "tiny",
@@ -39,7 +66,6 @@ func tinyUser(nSessions int, seed uint64) (*dataset.User, *dataset.Dataset) {
 			Cat:       []int{rng.Intn(3)},
 		})
 	}
-	u.SortSessions()
 	d.Users = []*dataset.User{u}
 	return u, d
 }
@@ -73,17 +99,17 @@ func TestBuildInputs(t *testing.T) {
 	m := tinyModel(cfg)
 	in := m.BuildUpdateInput(synth.DefaultStart, []int{2}, true, 3600, nil)
 	// Exactly five ones: category, hour, day-of-week, access flag, T(Δt).
-	if in.Sum() != 5 {
-		t.Fatalf("update input one-hot count: %v", in.Sum())
+	if sum(in) != 5 {
+		t.Fatalf("update input one-hot count: %v", sum(in))
 	}
 	inNoAccess := m.BuildUpdateInput(synth.DefaultStart, []int{2}, false, 3600, nil)
-	if inNoAccess.Sum() != 4 {
-		t.Fatalf("no-access input count: %v", inNoAccess.Sum())
+	if sum(inNoAccess) != 4 {
+		t.Fatalf("no-access input count: %v", sum(inNoAccess))
 	}
 
 	f := m.BuildPredictInput(synth.DefaultStart, []int{1}, 60, nil)
-	if f.Sum() != 4 {
-		t.Fatalf("predict input count: %v", f.Sum())
+	if sum(f) != 4 {
+		t.Fatalf("predict input count: %v", sum(f))
 	}
 }
 
@@ -176,7 +202,7 @@ func TestUpdateStateChangesWithAccess(t *testing.T) {
 		t.Fatalf("access flag must affect the hidden update")
 	}
 	// h0 unchanged.
-	if h0.Norm2() != 0 {
+	if sumSq(h0) != 0 {
 		t.Fatalf("UpdateState must not mutate input state")
 	}
 }
@@ -455,7 +481,7 @@ func TestPaddedTrainingMatchesUnpaddedGradients(t *testing.T) {
 	trB := NewTrainer(mB, tcB)
 	trB.TrainEpochPadded(d, 0)
 
-	fa, fb := mA.Params().Flatten(), mB.Params().Flatten()
+	fa, fb := flatten(mA.Params()), flatten(mB.Params())
 	for i := range fa {
 		if math.Abs(fa[i]-fb[i]) > 1e-9 {
 			t.Fatalf("padded vs per-user training diverged at %d: %v vs %v", i, fa[i], fb[i])

@@ -25,12 +25,12 @@ func TestMinimalModelDims(t *testing.T) {
 	}
 	// Inputs ignore context entirely.
 	in := m.BuildUpdateInput(synth.DefaultStart, []int{2}, true, 3600, nil)
-	if in.Sum() != 2 { // access flag + T one-hot
-		t.Fatalf("minimal update input: %v ones", in.Sum())
+	if sum(in) != 2 { // access flag + T one-hot
+		t.Fatalf("minimal update input: %v ones", sum(in))
 	}
 	f := m.BuildPredictInput(synth.DefaultStart, []int{2}, 60, nil)
-	if f.Sum() != 1 {
-		t.Fatalf("minimal predict input: %v ones", f.Sum())
+	if sum(f) != 1 {
+		t.Fatalf("minimal predict input: %v ones", sum(f))
 	}
 }
 
@@ -137,21 +137,21 @@ func TestFreezeCellLeavesCellUntouched(t *testing.T) {
 	d := synth.GenerateMobileTab(mtCfg)
 	m := New(d.Schema, cfg)
 
-	cellBefore := m.cell.Params().Flatten()
-	headBefore := append(append(m.l.Params(), m.w1.Params()...), m.w2.Params()...).Flatten()
+	cellBefore := flatten(m.cell.Params())
+	headBefore := flatten(append(append(m.l.Params(), m.w1.Params()...), m.w2.Params()...))
 
 	tc := DefaultTrainConfig()
 	tc.LossLastDays = 0
 	tc.FreezeCell = true
 	NewTrainer(m, tc).TrainEpoch(d, 0)
 
-	cellAfter := m.cell.Params().Flatten()
+	cellAfter := flatten(m.cell.Params())
 	for i := range cellBefore {
 		if cellBefore[i] != cellAfter[i] {
 			t.Fatalf("FreezeCell must not move cell parameters")
 		}
 	}
-	headAfter := append(append(m.l.Params(), m.w1.Params()...), m.w2.Params()...).Flatten()
+	headAfter := flatten(append(append(m.l.Params(), m.w1.Params()...), m.w2.Params()...))
 	moved := false
 	for i := range headBefore {
 		if headBefore[i] != headAfter[i] {
@@ -209,14 +209,14 @@ func TestCopyCellTo(t *testing.T) {
 	cfg.Seed = 7
 	b := tinyModel(cfg)
 	a.CopyCellTo(b)
-	fa, fb := a.cell.Params().Flatten(), b.cell.Params().Flatten()
+	fa, fb := flatten(a.cell.Params()), flatten(b.cell.Params())
 	for i := range fa {
 		if fa[i] != fb[i] {
 			t.Fatalf("CopyCellTo mismatch")
 		}
 	}
 	// Heads remain different (different seeds).
-	ha, hb := a.w1.Params().Flatten(), b.w1.Params().Flatten()
+	ha, hb := flatten(a.w1.Params()), flatten(b.w1.Params())
 	same := true
 	for i := range ha {
 		if ha[i] != hb[i] {

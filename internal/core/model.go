@@ -253,15 +253,6 @@ func (m *Model) UpdateStateInto(dst, state, updateInput, scratch tensor.Vector) 
 	copy(dst, next)
 }
 
-// SupportsBatchUpdate reports whether the recurrent cell has a batched
-// GEMM inference path (nn.BatchInferenceCell). Without it,
-// UpdateStatesInto falls back to row-by-row updates, losing only the
-// weight-reuse speedup.
-func (m *Model) SupportsBatchUpdate() bool {
-	_, ok := m.cell.(nn.BatchInferenceCell)
-	return ok
-}
-
 // BatchUpdateScratchSize returns the arena demand (float64s) of one
 // UpdateStatesInto call at batch size B, so callers can presize their
 // arenas and keep the batched hot path allocation-free from the first

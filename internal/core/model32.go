@@ -99,9 +99,3 @@ func (m *Model) UpdateStatesInto32(dst, states, xs *tensor.Matrix32, arena *tens
 	}
 	bc.StepInferBatch32(dst, states, xs, arena)
 }
-
-// InitialState32 returns the all-zero f32 state (exactly equal to the f64
-// h_0 — the zero state is representable in both tiers).
-func (m *Model) InitialState32() tensor.Vector32 {
-	return tensor.NewVector32(m.cell.StateSize())
-}

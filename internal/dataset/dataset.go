@@ -8,7 +8,6 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Day is one day in seconds; the observation window of every dataset in the
@@ -118,13 +117,6 @@ func (u *User) AccessRate() float64 {
 		return 0
 	}
 	return float64(u.AccessCount()) / float64(len(u.Sessions))
-}
-
-// SortSessions sorts the user's sessions by timestamp (stable for ties).
-func (u *User) SortSessions() {
-	sort.SliceStable(u.Sessions, func(i, j int) bool {
-		return u.Sessions[i].Timestamp < u.Sessions[j].Timestamp
-	})
 }
 
 // Dataset is a complete access-log corpus: a schema, the observation window
@@ -251,9 +243,6 @@ func (d *Dataset) Validate() error {
 	}
 	return nil
 }
-
-// DayOf returns the 0-based observation day containing ts.
-func (d *Dataset) DayOf(ts int64) int { return int((ts - d.Start) / Day) }
 
 // CutoffForLastDays returns the timestamp such that [cutoff, End) spans the
 // final `days` days of the observation window. Training losses use the last

@@ -3,14 +3,13 @@ package dataset
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
-// JSONL interchange: one JSON object per line, a header line followed by
-// user lines. The binary codec (codec.go) is the compact native format;
-// JSONL exists so external tooling (pandas, jq) can consume generated
-// datasets and real access logs can be imported.
+// JSONL export: one JSON object per line, a header line followed by user
+// lines. The binary codec (codec.go) is the compact native format that the
+// binaries read back; JSONL exists so external tooling (pandas, jq) can
+// consume generated datasets.
 
 type jsonlHeader struct {
 	Kind           string       `json:"kind"` // "ppds-header"
@@ -71,62 +70,4 @@ func WriteJSONL(w io.Writer, d *Dataset) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadJSONL deserialises a dataset written by WriteJSONL (or produced by
-// external tooling in the same shape). The result is validated.
-func ReadJSONL(r io.Reader) (*Dataset, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("dataset: empty JSONL input")
-	}
-	var hdr jsonlHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("dataset: parsing header: %w", err)
-	}
-	if hdr.Kind != "ppds-header" {
-		return nil, fmt.Errorf("dataset: first line is not a ppds-header")
-	}
-	d := &Dataset{
-		Schema: &Schema{
-			Name: hdr.SchemaName, SessionLength: hdr.SessionLength, Cat: hdr.Cat,
-			HasPeakWindows: hdr.HasPeakWindows,
-			PeakStartHour:  hdr.PeakStartHour, PeakEndHour: hdr.PeakEndHour,
-		},
-		Start: hdr.Start, End: hdr.End,
-	}
-	line := 1
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var ju jsonlUser
-		if err := json.Unmarshal(sc.Bytes(), &ju); err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-		if ju.Kind != "user" {
-			return nil, fmt.Errorf("dataset: line %d: unexpected kind %q", line, ju.Kind)
-		}
-		u := &User{ID: ju.ID}
-		for _, s := range ju.Sessions {
-			cat := s.Cat
-			if cat == nil {
-				cat = []int{}
-			}
-			u.Sessions = append(u.Sessions, Session{Timestamp: s.Ts, Access: s.Access, Cat: cat})
-		}
-		for _, w := range ju.Windows {
-			u.Windows = append(u.Windows, PeakWindow{Day: w.Day, Start: w.Start, End: w.End, Accessed: w.Accessed})
-		}
-		d.Users = append(d.Users, u)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return d, d.Validate()
 }

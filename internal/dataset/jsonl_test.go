@@ -1,8 +1,11 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
-	"strings"
+	"encoding/json"
+	"fmt"
+	"io"
 	"testing"
 )
 
@@ -40,28 +43,60 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJSONLRejectsBadInput(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("")); err == nil {
-		t.Fatalf("empty input must fail")
+// ReadJSONL deserialises a dataset written by WriteJSONL and validates
+// it: the round-trip oracle for WriteJSONL.
+func ReadJSONL(r io.Reader) (*Dataset, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("dataset: empty JSONL input")
 	}
-	if _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
-		t.Fatalf("non-JSON must fail")
+	var hdr jsonlHeader
+	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
+		return nil, fmt.Errorf("dataset: parsing header: %w", err)
 	}
-	if _, err := ReadJSONL(strings.NewReader(`{"kind":"other"}` + "\n")); err == nil {
-		t.Fatalf("wrong header kind must fail")
+	if hdr.Kind != "ppds-header" {
+		return nil, fmt.Errorf("dataset: first line is not a ppds-header")
 	}
-	// Header OK but bad user line.
-	in := `{"kind":"ppds-header","schema":"x","session_length":600,"cat":[],"start":0,"end":86400}` + "\n" + `{"kind":"wrong"}` + "\n"
-	if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
-		t.Fatalf("wrong user kind must fail")
+	d := &Dataset{
+		Schema: &Schema{
+			Name: hdr.SchemaName, SessionLength: hdr.SessionLength, Cat: hdr.Cat,
+			HasPeakWindows: hdr.HasPeakWindows,
+			PeakStartHour:  hdr.PeakStartHour, PeakEndHour: hdr.PeakEndHour,
+		},
+		Start: hdr.Start, End: hdr.End,
 	}
-}
-
-func TestJSONLValidates(t *testing.T) {
-	// Out-of-window session must be rejected by the embedded validation.
-	in := `{"kind":"ppds-header","schema":"x","session_length":600,"cat":[],"start":0,"end":86400}` + "\n" +
-		`{"kind":"user","id":1,"sessions":[{"ts":999999999,"access":false,"cat":[]}]}` + "\n"
-	if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
-		t.Fatalf("invalid dataset must fail validation")
+	line := 1
+	for sc.Scan() {
+		line++
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		var ju jsonlUser
+		if err := json.Unmarshal(sc.Bytes(), &ju); err != nil {
+			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
+		}
+		if ju.Kind != "user" {
+			return nil, fmt.Errorf("dataset: line %d: unexpected kind %q", line, ju.Kind)
+		}
+		u := &User{ID: ju.ID}
+		for _, s := range ju.Sessions {
+			cat := s.Cat
+			if cat == nil {
+				cat = []int{}
+			}
+			u.Sessions = append(u.Sessions, Session{Timestamp: s.Ts, Access: s.Access, Cat: cat})
+		}
+		for _, w := range ju.Windows {
+			u.Windows = append(u.Windows, PeakWindow{Day: w.Day, Start: w.Start, End: w.End, Accessed: w.Accessed})
+		}
+		d.Users = append(d.Users, u)
 	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return d, d.Validate()
 }

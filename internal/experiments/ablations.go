@@ -109,36 +109,6 @@ func (l *Lab) LossWindow() *Report {
 	return r
 }
 
-// All runs every experiment in DESIGN.md's index, returning rendered
-// reports in presentation order.
-func (l *Lab) All() []*Report {
-	return []*Report{
-		l.Table1Preview(),
-		l.Table2(),
-		l.Figure1(),
-		l.Table3(),
-		l.Table4(),
-		l.Table5(),
-		l.Figure4(),
-		l.Figure5(),
-		l.Figure6(),
-		l.Figure7(),
-		l.OnlineRecall(),
-		l.ServingCost(),
-		l.Parallelism(),
-		l.Lifecycle(),
-		l.Batching(),
-		l.Cells(),
-		l.LatentCross(),
-		l.HiddenDim(),
-		l.LossWindow(),
-		l.Stacked(),
-		l.Universal(),
-		l.Retrain(),
-		l.Quantization(),
-	}
-}
-
 // ByID returns the named experiment's report, or nil.
 func (l *Lab) ByID(id string) *Report {
 	drivers := map[string]func() *Report{

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -227,16 +226,6 @@ func Counters() map[string]int64 {
 		r.mu.Unlock()
 	}
 	return out
-}
-
-// CounterKeys returns the Counters keys sorted, for stable report output.
-func CounterKeys(c map[string]int64) []string {
-	keys := make([]string, 0, len(c))
-	for k := range c {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // eval decides whether this rule fires for one hit.

@@ -27,13 +27,10 @@ var AggWindows = []int64{28 * dataset.Day, 7 * dataset.Day, dataset.Day, 3600}
 // companion package internal/serving reuses Aggregator to account those
 // costs; the RNN replaces all of it with one hidden-state lookup.
 type Aggregator struct {
-	schema  *dataset.Schema
 	subsets [][]int // index subsets of schema.Cat, including the empty subset
 	// series maps a (subset, projected values) key to that slice of
 	// history.
 	series map[uint64]*aggSeries
-	// lookups counts key-value reads served, for the §9 cost accounting.
-	lookups int64
 }
 
 type aggSeries struct {
@@ -61,7 +58,7 @@ func NewAggregator(schema *dataset.Schema) *Aggregator {
 		}
 		subsets = append(subsets, sub)
 	}
-	return &Aggregator{schema: schema, subsets: subsets, series: make(map[uint64]*aggSeries)}
+	return &Aggregator{subsets: subsets, series: make(map[uint64]*aggSeries)}
 }
 
 // NumSubsets returns the number of context subsets tracked.
@@ -74,33 +71,6 @@ func (a *Aggregator) FeaturesPerSubset() int { return 3*len(AggWindows) + 2 }
 
 // NumFeatures returns the total aggregation feature count.
 func (a *Aggregator) NumFeatures() int { return a.NumSubsets() * a.FeaturesPerSubset() }
-
-// FeatureNames returns descriptive names aligned with Features output.
-func (a *Aggregator) FeatureNames() []string {
-	names := make([]string, 0, a.NumFeatures())
-	for _, sub := range a.subsets {
-		tag := "all"
-		if len(sub) > 0 {
-			tag = ""
-			for i, d := range sub {
-				if i > 0 {
-					tag += "+"
-				}
-				tag += a.schema.Cat[d].Name
-			}
-		}
-		for _, w := range AggWindows {
-			names = append(names,
-				fmt.Sprintf("sessions_%ds_%s", w, tag),
-				fmt.Sprintf("accesses_%ds_%s", w, tag),
-				fmt.Sprintf("accesspct_%ds_%s", w, tag))
-		}
-		names = append(names,
-			fmt.Sprintf("elapsed_session_%s", tag),
-			fmt.Sprintf("elapsed_access_%s", tag))
-	}
-	return names
-}
 
 // key builds the map key for a subset and the current context values.
 func (a *Aggregator) key(subsetIdx int, cat []int) uint64 {
@@ -126,7 +96,6 @@ func (a *Aggregator) Features(ts int64, cat []int, dst []float64) []float64 {
 	}
 	pos := 0
 	for si := range a.subsets {
-		a.lookups++
 		s := a.series[a.key(si, cat)]
 		for _, w := range AggWindows {
 			var sessions, accesses int
@@ -188,12 +157,6 @@ func (a *Aggregator) Observe(ts int64, cat []int, access bool) {
 		s.accPrefix = append(s.accPrefix, acc)
 	}
 }
-
-// Lookups returns the number of key-value reads Features has performed —
-// one per context subset per call, the unit the §9 cost comparison counts
-// (the paper reports ≈20 aggregation feature lookups per MobileTab
-// prediction; here it is NumSubsets keys each bundling its window counts).
-func (a *Aggregator) Lookups() int64 { return a.lookups }
 
 // KeyCount returns the number of distinct (subset × context value) keys in
 // the backing store — the per-user storage footprint driver of §9

@@ -364,16 +364,3 @@ func (b *Builder) BuildDataset(d *dataset.Dataset) [][]Example {
 	}
 	return out
 }
-
-// Flatten concatenates per-user examples into one slice.
-func Flatten(perUser [][]Example) []Example {
-	n := 0
-	for _, ex := range perUser {
-		n += len(ex)
-	}
-	out := make([]Example, 0, n)
-	for _, ex := range perUser {
-		out = append(out, ex...)
-	}
-	return out
-}

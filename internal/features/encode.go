@@ -99,18 +99,6 @@ func ContextVector32(schema *dataset.Schema, ts int64, cat []int, dst tensor.Vec
 	return dst
 }
 
-// TimeBucketOneHot writes the one-hot encoding of TimeBucket(seconds) into
-// dst (length NumTimeBuckets) and returns it. Pass nil to allocate.
-func TimeBucketOneHot(seconds int64, dst tensor.Vector) tensor.Vector {
-	if dst == nil {
-		dst = tensor.NewVector(NumTimeBuckets)
-	} else {
-		dst.Zero()
-	}
-	dst[TimeBucket(seconds)] = 1
-	return dst
-}
-
 // SparseVec is a sparse feature vector for the logistic-regression design
 // matrix, whose one-hot blocks would waste memory stored densely.
 type SparseVec struct {
@@ -131,11 +119,4 @@ func (s *SparseVec) Dot(w tensor.Vector) float64 {
 		sum += w[idx] * s.Val[i]
 	}
 	return sum
-}
-
-// AddScaled accumulates a·s into the dense vector dst.
-func (s *SparseVec) AddScaled(dst tensor.Vector, a float64) {
-	for i, idx := range s.Idx {
-		dst[idx] += a * s.Val[i]
-	}
 }

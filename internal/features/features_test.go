@@ -84,8 +84,12 @@ func TestContextVector(t *testing.T) {
 	if len(v) != dim {
 		t.Fatalf("vector length %d", len(v))
 	}
-	if v.Sum() != 4 { // 2 cat one-hots + hour + dow
-		t.Fatalf("one-hot sum: %v", v.Sum())
+	var sum float64
+	for _, x := range v {
+		sum += x
+	}
+	if sum != 4 { // 2 cat one-hots + hour + dow
+		t.Fatalf("one-hot sum: %v", sum)
 	}
 	if v[5] != 1 || v[100+42] != 1 {
 		t.Fatalf("categorical one-hot misplaced")
@@ -100,13 +104,6 @@ func TestContextVector(t *testing.T) {
 	}
 }
 
-func TestTimeBucketOneHot(t *testing.T) {
-	v := TimeBucketOneHot(21, nil)
-	if len(v) != NumTimeBuckets || v.Sum() != 1 || v[10] != 1 {
-		t.Fatalf("TimeBucketOneHot(21): %v", v)
-	}
-}
-
 func TestSparseVecOps(t *testing.T) {
 	var s SparseVec
 	s.Append(0, 2)
@@ -114,11 +111,6 @@ func TestSparseVecOps(t *testing.T) {
 	w := tensor.Vector{1, 10, 10, 4}
 	if d := s.Dot(w); d != 2-4 {
 		t.Fatalf("Dot: %v", d)
-	}
-	dst := tensor.NewVector(4)
-	s.AddScaled(dst, 2)
-	if dst[0] != 4 || dst[3] != -2 || dst[1] != 0 {
-		t.Fatalf("AddScaled: %v", dst)
 	}
 }
 
@@ -132,9 +124,6 @@ func TestAggregatorSubsets(t *testing.T) {
 	}
 	if agg.NumFeatures() != 4*14 {
 		t.Fatalf("NumFeatures: %d", agg.NumFeatures())
-	}
-	if len(agg.FeatureNames()) != agg.NumFeatures() {
-		t.Fatalf("FeatureNames length mismatch")
 	}
 }
 
@@ -230,11 +219,6 @@ func TestAggregatorCostCounters(t *testing.T) {
 	agg.Observe(200, []int{1, 3}, false)
 	if agg.KeyCount() == 0 {
 		t.Fatalf("KeyCount must grow with distinct contexts")
-	}
-	before := agg.Lookups()
-	agg.Features(300, []int{1, 2}, nil)
-	if agg.Lookups()-before != int64(agg.NumSubsets()) {
-		t.Fatalf("one lookup per subset per Features call")
 	}
 	if agg.StateBytes() <= 0 {
 		t.Fatalf("StateBytes must be positive")
@@ -338,7 +322,10 @@ func TestBuilderTimeshift(t *testing.T) {
 	if len(perUser) != 50 {
 		t.Fatalf("per-user groups: %d", len(perUser))
 	}
-	exs := Flatten(perUser)
+	var exs []Example
+	for _, u := range perUser {
+		exs = append(exs, u...)
+	}
 	if len(exs) == 0 {
 		t.Fatalf("no timeshift examples")
 	}
@@ -455,18 +442,6 @@ func TestAggregatorMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFlattenCounts(t *testing.T) {
-	perUser := [][]Example{
-		{{Ts: 1}, {Ts: 2}},
-		nil,
-		{{Ts: 3}},
-	}
-	flat := Flatten(perUser)
-	if len(flat) != 3 {
-		t.Fatalf("Flatten: %d", len(flat))
 	}
 }
 

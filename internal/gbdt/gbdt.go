@@ -77,9 +77,6 @@ func (t *Tree) predictRaw(x []float64) float64 {
 	}
 }
 
-// NumNodes returns the node count (used by the serving cost model).
-func (t *Tree) NumNodes() int { return len(t.nodes) }
-
 // Model is a fitted GBDT classifier.
 type Model struct {
 	Config Config
@@ -199,16 +196,6 @@ func (m *Model) PredictAll(X [][]float64) []float64 {
 		out[i] = m.Predict(x)
 	}
 	return out
-}
-
-// TotalNodes returns the summed node count across trees; the §9 compute
-// comparison uses depth×rounds traversal cost.
-func (m *Model) TotalNodes() int {
-	n := 0
-	for _, t := range m.Trees {
-		n += t.NumNodes()
-	}
-	return n
 }
 
 // buildBins computes per-feature quantile bin edges. edges[f] has at most

@@ -285,16 +285,6 @@ func TestSearchDepthEmptyPanics(t *testing.T) {
 	SearchDepth(DefaultConfig(), nil, nil, nil, nil, nil)
 }
 
-func TestTotalNodesPositive(t *testing.T) {
-	X, y := xorData(500, 13)
-	cfg := DefaultConfig()
-	cfg.Rounds = 5
-	m := Fit(cfg, X, y)
-	if m.TotalNodes() < 5 {
-		t.Fatalf("TotalNodes: %d", m.TotalNodes())
-	}
-}
-
 // Property: predictions are always valid probabilities.
 func TestGBDTPredictionsAreProbabilities(t *testing.T) {
 	X, y := xorData(1000, 14)

@@ -2,16 +2,6 @@ package gbdt
 
 import "repro/internal/metrics"
 
-// DefaultDepthRange is the paper's exhaustive search space for the tree
-// depth hyperparameter (§5.4: "all possible depths in the range [1, 10]").
-func DefaultDepthRange() []int {
-	depths := make([]int, 10)
-	for i := range depths {
-		depths[i] = i + 1
-	}
-	return depths
-}
-
 // SearchDepth trains one model per candidate depth on (trainX, trainY) and
 // returns the depth minimising log loss on the validation split, together
 // with the per-depth validation losses (index-aligned with depths). The

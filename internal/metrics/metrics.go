@@ -2,8 +2,7 @@
 // paper: the precision-recall curve, the area under it (PR-AUC, the paper's
 // headline comparison metric, following Davis & Goadrich 2006), recall at a
 // fixed precision (Table 4 uses 50%, the production deployment 60%), and
-// log loss. It also provides the CDF and histogram helpers behind Figures
-// 1, 4 and 5.
+// log loss. It also provides the histogram behind Figure 5.
 package metrics
 
 import (
@@ -158,32 +157,6 @@ func LogLoss(probs []float64, labels []bool) float64 {
 	return sum / float64(len(probs))
 }
 
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X    float64
-	Frac float64 // fraction of values ≤ X
-}
-
-// CDF returns the empirical CDF of values evaluated at up to maxPoints
-// evenly spaced sample ranks (Figure 1 plots the CDF of per-user access
-// rates). The input is not modified.
-func CDF(values []float64, maxPoints int) []CDFPoint {
-	if len(values) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), values...)
-	sort.Float64s(s)
-	if maxPoints <= 0 || maxPoints > len(s) {
-		maxPoints = len(s)
-	}
-	out := make([]CDFPoint, 0, maxPoints)
-	for i := 0; i < maxPoints; i++ {
-		rank := (i + 1) * len(s) / maxPoints
-		out = append(out, CDFPoint{X: s[rank-1], Frac: float64(rank) / float64(len(s))})
-	}
-	return out
-}
-
 // HistogramBin is one bin of a fixed-width histogram.
 type HistogramBin struct {
 	Lo, Hi float64
@@ -214,24 +187,6 @@ func Histogram(values []float64, bins int, lo, hi float64) []HistogramBin {
 		out[idx].Count++
 	}
 	return out
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of values using the nearest-
-// rank method. The input is not modified.
-func Quantile(values []float64, q float64) float64 {
-	if len(values) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), values...)
-	sort.Float64s(s)
-	idx := int(q * float64(len(s)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }
 
 // Mean returns the arithmetic mean of values (0 for empty input).

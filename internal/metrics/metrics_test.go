@@ -134,46 +134,6 @@ func TestLogLoss(t *testing.T) {
 	}
 }
 
-func TestCDFBasics(t *testing.T) {
-	vals := []float64{3, 1, 2, 4}
-	cdf := CDF(vals, 0)
-	if len(cdf) != 4 {
-		t.Fatalf("CDF length: %d", len(cdf))
-	}
-	if cdf[0].X != 1 || cdf[0].Frac != 0.25 {
-		t.Fatalf("first point: %+v", cdf[0])
-	}
-	if cdf[3].X != 4 || cdf[3].Frac != 1 {
-		t.Fatalf("last point: %+v", cdf[3])
-	}
-	// Input untouched.
-	if vals[0] != 3 {
-		t.Fatalf("CDF must not mutate input")
-	}
-	if CDF(nil, 10) != nil {
-		t.Fatalf("empty CDF must be nil")
-	}
-}
-
-func TestCDFDownsampling(t *testing.T) {
-	vals := make([]float64, 1000)
-	for i := range vals {
-		vals[i] = float64(i)
-	}
-	cdf := CDF(vals, 10)
-	if len(cdf) != 10 {
-		t.Fatalf("downsampled length: %d", len(cdf))
-	}
-	if cdf[9].Frac != 1 {
-		t.Fatalf("last fraction must be 1: %v", cdf[9].Frac)
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].Frac <= cdf[i-1].Frac || cdf[i].X < cdf[i-1].X {
-			t.Fatalf("CDF must be monotone")
-		}
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	vals := []float64{0, 1, 2, 3, 4, 5, 100, -5}
 	h := Histogram(vals, 5, 0, 5)
@@ -205,18 +165,6 @@ func TestHistogramPanics(t *testing.T) {
 
 func TestQuantileAndMean(t *testing.T) {
 	vals := []float64{5, 1, 3, 2, 4}
-	if q := Quantile(vals, 0); q != 1 {
-		t.Fatalf("q0: %v", q)
-	}
-	if q := Quantile(vals, 1); q != 5 {
-		t.Fatalf("q1: %v", q)
-	}
-	if q := Quantile(vals, 0.5); q != 3 {
-		t.Fatalf("median: %v", q)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatalf("empty quantile must be NaN")
-	}
 	if m := Mean(vals); m != 3 {
 		t.Fatalf("mean: %v", m)
 	}

@@ -16,20 +16,6 @@ func Sigmoid(x float64) float64 {
 	return e / (1 + e)
 }
 
-// SigmoidVec writes σ(x) element-wise into dst (dst may alias x).
-func SigmoidVec(dst, x tensor.Vector) {
-	for i, v := range x {
-		dst[i] = Sigmoid(v)
-	}
-}
-
-// TanhVec writes tanh(x) element-wise into dst (dst may alias x).
-func TanhVec(dst, x tensor.Vector) {
-	for i, v := range x {
-		dst[i] = math.Tanh(v)
-	}
-}
-
 // ReLUVec writes max(0, x) element-wise into dst (dst may alias x).
 func ReLUVec(dst, x tensor.Vector) {
 	for i, v := range x {
@@ -48,22 +34,6 @@ func ReLUBackward(dx, y, dy tensor.Vector) {
 		if v > 0 {
 			dx[i] += dy[i]
 		}
-	}
-}
-
-// SigmoidBackwardFromOutput accumulates dx += dy ∘ s ∘ (1−s) where s is the
-// sigmoid output.
-func SigmoidBackwardFromOutput(dx, s, dy tensor.Vector) {
-	for i, si := range s {
-		dx[i] += dy[i] * si * (1 - si)
-	}
-}
-
-// TanhBackwardFromOutput accumulates dx += dy ∘ (1−t²) where t is the tanh
-// output.
-func TanhBackwardFromOutput(dx, t, dy tensor.Vector) {
-	for i, ti := range t {
-		dx[i] += dy[i] * (1 - ti*ti)
 	}
 }
 
@@ -94,12 +64,5 @@ func (d Dropout) Forward(x, mask tensor.Vector, train bool, rng *tensor.RNG) {
 			mask[i] = 0
 			x[i] = 0
 		}
-	}
-}
-
-// Backward accumulates dx += dy ∘ mask.
-func (d Dropout) Backward(dx, mask, dy tensor.Vector) {
-	for i, m := range mask {
-		dx[i] += dy[i] * m
 	}
 }

@@ -22,7 +22,7 @@ func TestGRUStepInferBatchMatchesStepInfer(t *testing.T) {
 		xs := tensor.NewMatrix(B, c.InputSize())
 		dst := tensor.NewMatrix(B, c.StateSize())
 		for step := 0; step < 10; step++ {
-			xs.Zero()
+			clear(xs.Data)
 			for b := 0; b < B; b++ {
 				row := xs.Row(b)
 				if step%2 == 0 { // sparse one-hot-ish input
@@ -39,7 +39,7 @@ func TestGRUStepInferBatchMatchesStepInfer(t *testing.T) {
 			for b := 0; b < B; b++ {
 				c.StepInfer(want, states.Row(b), xs.Row(b), scratch)
 				for i, w := range want {
-					if got := dst.At(b, i); got != w {
+					if got := dst.Row(b)[i]; got != w {
 						t.Fatalf("B=%d step %d row %d dim %d: batch %v vs scalar %v", B, step, b, i, got, w)
 					}
 				}
@@ -74,7 +74,7 @@ func TestStackedStepInferBatchMatchesStep(t *testing.T) {
 			for b := 0; b < B; b++ {
 				want, _ := s.Step(states.Row(b), xs.Row(b))
 				for i, w := range want {
-					if got := dst.At(b, i); got != w {
+					if got := dst.Row(b)[i]; got != w {
 						t.Fatalf("%s step %d row %d dim %d: batch %v vs Step %v", kind, step, b, i, got, w)
 					}
 				}

@@ -2,48 +2,14 @@ package nn
 
 import "math"
 
-// lossEps keeps log-loss finite when a model emits a hard 0 or 1.
-const lossEps = 1e-12
-
-// BCELoss returns the binary cross-entropy ("log loss", §6.3) of predicted
-// probability p against label y ∈ {0, 1}:
-//
-//	−[y·log(p) + (1−y)·log(1−p)]
-func BCELoss(p, y float64) float64 {
-	p = clampProb(p)
-	if y >= 0.5 {
-		return -math.Log(p)
-	}
-	return -math.Log(1 - p)
-}
-
-// BCELossGrad returns dLoss/dp for BCELoss.
-func BCELossGrad(p, y float64) float64 {
-	p = clampProb(p)
-	if y >= 0.5 {
-		return -1 / p
-	}
-	return 1 / (1 - p)
-}
-
 // BCEWithLogits returns the loss and dLoss/dlogit for a sigmoid output unit
 // in one numerically stable computation. Backpropagating through the logit
 // (dL/ds = σ(s) − y) avoids the catastrophic cancellation of composing
-// BCELossGrad with the sigmoid derivative, so the model's output layer uses
-// this form.
+// the log-loss gradient with the sigmoid derivative, so the model's
+// output layer uses this form.
 func BCEWithLogits(logit, y float64) (loss, dLogit float64) {
 	p := Sigmoid(logit)
 	// loss = max(s,0) − s·y + log(1+exp(−|s|)) — the standard stable form.
 	loss = math.Max(logit, 0) - logit*y + math.Log1p(math.Exp(-math.Abs(logit)))
 	return loss, p - y
-}
-
-func clampProb(p float64) float64 {
-	if p < lossEps {
-		return lossEps
-	}
-	if p > 1-lossEps {
-		return 1 - lossEps
-	}
-	return p
 }

@@ -80,15 +80,6 @@ func (ps Params) ZeroGrad() {
 	}
 }
 
-// NumScalars returns the total number of scalar parameters.
-func (ps Params) NumScalars() int {
-	n := 0
-	for _, p := range ps {
-		n += p.Len()
-	}
-	return n
-}
-
 // GradNorm returns the global L2 norm of all gradients.
 func (ps Params) GradNorm() float64 {
 	var s float64
@@ -144,31 +135,6 @@ func (ps Params) CopyValuesTo(dst Params) {
 			panic(fmt.Sprintf("nn: Params.CopyValuesTo: size mismatch for %q", p.Name))
 		}
 		copy(dst[i].Value, p.Value)
-	}
-}
-
-// Flatten returns a copy of all parameter values as one vector, in order.
-func (ps Params) Flatten() tensor.Vector {
-	out := tensor.NewVector(0)
-	for _, p := range ps {
-		out = append(out, p.Value...)
-	}
-	return out
-}
-
-// LoadFlat restores parameter values from a vector previously produced by
-// Flatten.
-func (ps Params) LoadFlat(flat tensor.Vector) {
-	off := 0
-	for _, p := range ps {
-		if off+p.Len() > len(flat) {
-			panic("nn: Params.LoadFlat: vector too short")
-		}
-		copy(p.Value, flat[off:off+p.Len()])
-		off += p.Len()
-	}
-	if off != len(flat) {
-		panic("nn: Params.LoadFlat: vector too long")
 	}
 }
 

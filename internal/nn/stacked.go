@@ -44,9 +44,6 @@ func (s *StackedCell) HiddenSize() int { return s.layers[len(s.layers)-1].Hidden
 // StateSize returns the packed state length across layers.
 func (s *StackedCell) StateSize() int { return s.total }
 
-// NumLayers returns the stack depth.
-func (s *StackedCell) NumLayers() int { return len(s.layers) }
-
 // Params returns all layers' parameters.
 func (s *StackedCell) Params() Params {
 	var ps Params

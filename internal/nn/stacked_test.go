@@ -15,9 +15,6 @@ func TestStackedCellShapes(t *testing.T) {
 	if s.StateSize() != 8 {
 		t.Fatalf("StateSize: %d", s.StateSize())
 	}
-	if s.NumLayers() != 2 {
-		t.Fatalf("NumLayers: %d", s.NumLayers())
-	}
 	// LSTM stack: state = 2 layers × 2·hidden.
 	ls := NewStackedCell(CellLSTM, 5, 4, 2, rng)
 	if ls.StateSize() != 16 {
@@ -46,7 +43,7 @@ func TestStackedSingleLayerMatchesPlainCell(t *testing.T) {
 	stack := NewStackedCell(CellGRU, 3, 4, 1, rng2)
 
 	x := tensor.NewVector(3)
-	tensor.NewRNG(9).FillNormal(x, 1)
+	fillNormal(tensor.NewRNG(9), x, 1)
 	state := tensor.NewVector(4)
 
 	hp, _ := plain.Step(state, x)
@@ -64,7 +61,7 @@ func TestStackedVisibleHiddenIsTopLayer(t *testing.T) {
 	rng := tensor.NewRNG(11)
 	s := NewStackedCell(CellGRU, 3, 4, 2, rng)
 	x := tensor.NewVector(3)
-	rng.FillNormal(x, 1)
+	fillNormal(rng, x, 1)
 	state := tensor.NewVector(s.StateSize())
 	next, _ := s.Step(state, x)
 
@@ -89,7 +86,7 @@ func TestStackedGradCheck(t *testing.T) {
 	xs := make([]tensor.Vector, steps)
 	for i := range xs {
 		xs[i] = tensor.NewVector(inSize)
-		rng.FillNormal(xs[i], 1)
+		fillNormal(rng, xs[i], 1)
 	}
 	loss := func() float64 {
 		state := tensor.NewVector(cell.StateSize())
@@ -130,9 +127,9 @@ func TestStackedInputGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	cell := NewStackedCell(CellGRU, 3, 3, 2, rng)
 	x := tensor.NewVector(3)
-	rng.FillNormal(x, 1)
+	fillNormal(rng, x, 1)
 	state0 := tensor.NewVector(cell.StateSize())
-	rng.FillNormal(state0, 0.5)
+	fillNormal(rng, state0, 0.5)
 
 	loss := func() float64 {
 		next, _ := cell.Step(state0, x)

@@ -1,6 +1,5 @@
-// Package opt provides the optimizers used for model training: Adam (the
-// paper trains its RNN with Adam at learning rate 1e-3, §7) and plain SGD
-// with optional momentum (used by the logistic-regression baseline).
+// Package opt provides the optimizer used for model training: Adam (the
+// paper trains its RNN with Adam at learning rate 1e-3, §7).
 package opt
 
 import (
@@ -9,14 +8,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
-
-// Optimizer updates parameters in place from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update from the gradients currently stored in the
-	// parameters it was constructed with, then the caller normally zeroes
-	// the gradients.
-	Step()
-}
 
 // Adam implements Adam (Kingma & Ba, 2015) with bias correction, matching
 // PyTorch's defaults when constructed via NewAdam.
@@ -48,9 +39,6 @@ func NewAdam(params nn.Params, lr float64) *Adam {
 	return a
 }
 
-// SetLR changes the learning rate for subsequent steps.
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
-
 // Step applies one Adam update.
 func (a *Adam) Step() {
 	a.LastGradNorm = a.params.ClipGradNorm(a.ClipNorm)
@@ -65,47 +53,6 @@ func (a *Adam) Step() {
 			mHat := m[j] / bc1
 			vHat := v[j] / bc2
 			p.Value[j] -= a.lr * mHat / (math.Sqrt(vHat) + a.eps)
-		}
-	}
-}
-
-// SGD implements stochastic gradient descent with optional momentum and L2
-// weight decay.
-type SGD struct {
-	params      nn.Params
-	lr          float64
-	momentum    float64
-	weightDecay float64
-	vel         []tensor.Vector
-}
-
-// NewSGD returns an SGD optimizer. momentum and weightDecay may be zero.
-func NewSGD(params nn.Params, lr, momentum, weightDecay float64) *SGD {
-	s := &SGD{params: params, lr: lr, momentum: momentum, weightDecay: weightDecay}
-	if momentum > 0 {
-		s.vel = make([]tensor.Vector, len(params))
-		for i, p := range params {
-			s.vel[i] = tensor.NewVector(p.Len())
-		}
-	}
-	return s
-}
-
-// SetLR changes the learning rate for subsequent steps.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// Step applies one SGD update.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		for j, g := range p.Grad {
-			if s.weightDecay > 0 {
-				g += s.weightDecay * p.Value[j]
-			}
-			if s.vel != nil {
-				s.vel[i][j] = s.momentum*s.vel[i][j] + g
-				g = s.vel[i][j]
-			}
-			p.Value[j] -= s.lr * g
 		}
 	}
 }

@@ -140,12 +140,16 @@ func (f *Follower) Promote() int64 {
 
 // Stop ends replication without promoting (shutdown path).
 func (f *Follower) Stop() {
+	// Signal before closing the connection: run checks stopCh under f.mu
+	// before it installs a new connection, so either it sees the signal or
+	// the close below sees its connection. The other order lets run dial
+	// and block on a connection nobody closes, and wg.Wait never returns.
+	f.stopOnce.Do(func() { close(f.stopCh) })
 	f.mu.Lock()
 	if f.conn != nil {
 		f.conn.Close()
 	}
 	f.mu.Unlock()
-	f.stopOnce.Do(func() { close(f.stopCh) })
 	f.wg.Wait()
 }
 
@@ -221,9 +225,13 @@ func (f *Follower) run() {
 			// trusted: resuming the tail at lastSeq+1 could re-apply or skip
 			// records. Dropping the epoch makes the next subscribe look
 			// stale, which forces the primary to re-bootstrap us from a
-			// consistent snapshot.
+			// consistent snapshot. Dropping the position too keeps Status
+			// from reporting the follower caught up before that bootstrap
+			// has ended: until fBootEnd the store is stale, then wiped,
+			// then partly re-imported.
 			f.corruptFrames++
 			f.epoch = ""
+			f.lastSeq = 0
 		}
 		f.mu.Unlock()
 		conn.Close()

@@ -35,7 +35,7 @@ func wireState(dim int, seed uint64, ts int64) []byte {
 	rng := tensor.NewRNG(seed)
 	h := tensor.NewVector(dim)
 	rng.FillUniform(h, -1, 1)
-	return serving.EncodeHidden(h, ts)
+	return serving.EncodeHiddenInto(nil, h, ts)
 }
 
 // primary is one replication source mounted on the real server handler.

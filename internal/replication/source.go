@@ -87,9 +87,6 @@ func NewSource(st *statestore.Store) *Source {
 	}
 }
 
-// Epoch returns the source's incarnation fence.
-func (s *Source) Epoch() string { return s.epoch }
-
 // Status snapshots the source's progress and its live subscribers.
 func (s *Source) Status() SourceStatus {
 	st := SourceStatus{

@@ -167,8 +167,9 @@ func TestGracefulShutdownDrainsAndSnapshots(t *testing.T) {
 	srv := New(Options{
 		Model: m, Store: ss, State: ss, Threshold: 0.5,
 		// A long max-wait parks partial batches: Shutdown must not lose
-		// them.
-		Lanes: 2, MaxBatch: 64, MaxWait: 300 * time.Millisecond, LaneDepth: 128,
+		// them. LaneDepth exceeds len(log), so this run cannot shed however
+		// the box is loaded; TestBackpressureSheds covers shedding.
+		Lanes: 2, MaxBatch: 64, MaxWait: 300 * time.Millisecond, LaneDepth: 2048,
 	})
 	ts := httptest.NewServer(srv.Handler())
 

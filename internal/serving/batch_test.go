@@ -141,9 +141,6 @@ func TestBatchedStackedModel(t *testing.T) {
 	cfg.MLPHidden = 8
 	cfg.Layers = 2
 	m := core.New(synth.MobileTabSchema(), cfg)
-	if !m.SupportsBatchUpdate() {
-		t.Fatalf("stacked GRU model must support batch update")
-	}
 	const users = 12
 	evs := syntheticLog(users, 4)
 	want := replayScalar(m, evs)

@@ -120,15 +120,11 @@ func (s *KVStore) Stats() Stats {
 // footprint for a 128-dimensional vector, together with the timestamp of
 // the session that produced them (needed for T(t−t_k) at prediction time).
 
-// EncodeHidden serialises (hidden, lastTS) for storage.
-func EncodeHidden(h tensor.Vector, lastTS int64) []byte {
-	return EncodeHiddenInto(nil, h, lastTS)
-}
-
-// EncodeHiddenInto is EncodeHidden into a reusable buffer: it reallocates
-// only when dst is too small and returns the encoded slice (the serving
-// hot path calls this once per finalisation; Put copies, so the buffer can
-// be reused immediately).
+// EncodeHiddenInto serialises (hidden, lastTS) for storage into a
+// reusable buffer: it reallocates only when dst is too small (nil is
+// fine) and returns the encoded slice (the serving hot path calls this
+// once per finalisation; Put copies, so the buffer can be reused
+// immediately).
 func EncodeHiddenInto(dst []byte, h tensor.Vector, lastTS int64) []byte {
 	need := 8 + 4*len(h)
 	if cap(dst) < need {
@@ -142,20 +138,9 @@ func EncodeHiddenInto(dst []byte, h tensor.Vector, lastTS int64) []byte {
 	return buf
 }
 
-// DecodeHidden reverses EncodeHidden.
-func DecodeHidden(buf []byte) (h tensor.Vector, lastTS int64, ok bool) {
-	if len(buf) < 8 || (len(buf)-8)%4 != 0 {
-		return nil, 0, false
-	}
-	// h is sized to match, so DecodeHiddenInto cannot fail here.
-	h = tensor.NewVector((len(buf) - 8) / 4)
-	lastTS, _ = DecodeHiddenInto(buf, h)
-	return h, lastTS, true
-}
-
-// DecodeHiddenInto decodes into a caller-owned vector, failing when the
-// encoded dimension does not match len(h) (which doubles as the
-// state-size check the processors need).
+// DecodeHiddenInto reverses EncodeHiddenInto into a caller-owned vector,
+// failing when the encoded dimension does not match len(h) (which doubles
+// as the state-size check the processors need).
 func DecodeHiddenInto(buf []byte, h tensor.Vector) (lastTS int64, ok bool) {
 	if len(buf) < 8 || (len(buf)-8)%4 != 0 || (len(buf)-8)/4 != len(h) {
 		return 0, false
@@ -223,30 +208,6 @@ func QuantizeSample(v float64) int8 { return int8(quantClamp(v) * 127) }
 
 // DequantizeSample reverses QuantizeSample.
 func DequantizeSample(b int8) float64 { return float64(b) / 127 }
-
-// EncodeHiddenQuantized serialises (hidden, lastTS) at one byte per
-// dimension.
-func EncodeHiddenQuantized(h tensor.Vector, lastTS int64) []byte {
-	buf := make([]byte, 8+len(h))
-	binary.LittleEndian.PutUint64(buf, uint64(lastTS))
-	for i, v := range h {
-		buf[8+i] = byte(QuantizeSample(v))
-	}
-	return buf
-}
-
-// DecodeHiddenQuantized reverses EncodeHiddenQuantized.
-func DecodeHiddenQuantized(buf []byte) (h tensor.Vector, lastTS int64, ok bool) {
-	if len(buf) < 8 {
-		return nil, 0, false
-	}
-	lastTS = int64(binary.LittleEndian.Uint64(buf))
-	h = tensor.NewVector(len(buf) - 8)
-	for i := range h {
-		h[i] = DequantizeSample(int8(buf[8+i]))
-	}
-	return h, lastTS, true
-}
 
 // QuantizedValueBytes returns the stored size of a quantized state of
 // dimension d (136 bytes at d=128 — the 4× shrink §9 describes).

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -116,4 +117,29 @@ func TestQuantizedEvaluationNearLossless(t *testing.T) {
 		t.Fatalf("max per-score quantization drift: %v", maxDiff)
 	}
 	_ = l8
+}
+
+// EncodeHiddenQuantized serialises (hidden, lastTS) at one byte per
+// dimension. The codec tests above exercise QuantizeSample and
+// DequantizeSample through it.
+func EncodeHiddenQuantized(h tensor.Vector, lastTS int64) []byte {
+	buf := make([]byte, 8+len(h))
+	binary.LittleEndian.PutUint64(buf, uint64(lastTS))
+	for i, v := range h {
+		buf[8+i] = byte(QuantizeSample(v))
+	}
+	return buf
+}
+
+// DecodeHiddenQuantized reverses EncodeHiddenQuantized.
+func DecodeHiddenQuantized(buf []byte) (h tensor.Vector, lastTS int64, ok bool) {
+	if len(buf) < 8 {
+		return nil, 0, false
+	}
+	lastTS = int64(binary.LittleEndian.Uint64(buf))
+	h = tensor.NewVector(len(buf) - 8)
+	for i := range h {
+		h[i] = DequantizeSample(int8(buf[8+i]))
+	}
+	return h, lastTS, true
 }

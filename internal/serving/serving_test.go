@@ -353,3 +353,20 @@ func TestOnlineExperimentShape(t *testing.T) {
 		t.Fatalf("degenerate late-period AUCs")
 	}
 }
+
+// EncodeHidden is EncodeHiddenInto into a fresh buffer.
+func EncodeHidden(h tensor.Vector, lastTS int64) []byte {
+	return EncodeHiddenInto(nil, h, lastTS)
+}
+
+// DecodeHidden reverses EncodeHiddenInto, sizing h from the encoding:
+// the oracle the tests read stored states back with.
+func DecodeHidden(buf []byte) (h tensor.Vector, lastTS int64, ok bool) {
+	if len(buf) < 8 || (len(buf)-8)%4 != 0 {
+		return nil, 0, false
+	}
+	// h is sized to match, so DecodeHiddenInto cannot fail here.
+	h = tensor.NewVector((len(buf) - 8) / 4)
+	lastTS, _ = DecodeHiddenInto(buf, h)
+	return h, lastTS, true
+}

@@ -112,9 +112,6 @@ func (p *StreamProcessor) SetPrecision(t nn.PrecisionTier) error {
 	return nil
 }
 
-// Precision returns the finalisation compute tier.
-func (p *StreamProcessor) Precision() nn.PrecisionTier { return p.fin.tier }
-
 // hiddenKey is the per-user KV key.
 func hiddenKey(userID int) string { return "h:" + strconv.Itoa(userID) }
 

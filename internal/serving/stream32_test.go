@@ -200,8 +200,8 @@ func TestF32PrecisionRequiresCellSupport(t *testing.T) {
 	if err := p.SetPrecision(nn.TierF32); err == nil {
 		t.Fatal("SetPrecision(f32) must fail for an LSTM cell")
 	}
-	if p.Precision() != nn.TierF64 {
-		t.Fatalf("precision after rejected switch: %v, want f64", p.Precision())
+	if p.fin.tier != nn.TierF64 {
+		t.Fatalf("precision after rejected switch: %v, want f64", p.fin.tier)
 	}
 	if _, err := NewParallelStreamProcessor(lstm, NewShardedKVStore(4), 2, 4, nn.TierF32); err == nil {
 		t.Fatal("NewParallelStreamProcessor(f32) must fail for an LSTM cell")

@@ -42,20 +42,6 @@ func (c Codec) String() string {
 	}
 }
 
-// ParseCodec maps the String() names (as accepted by the -quant and
-// -precision serving flags) back to a Codec.
-func ParseCodec(s string) (Codec, bool) {
-	switch s {
-	case "float32", "":
-		return CodecFloat32, true
-	case "int8":
-		return CodecInt8, true
-	case "f32":
-		return CodecF32, true
-	}
-	return CodecFloat32, false
-}
-
 // Stored values are self-describing: a one-byte tag precedes the payload,
 // so a store reopened with a different codec option still decodes every
 // recovered entry by the entry's own tag.

@@ -242,31 +242,3 @@ func TestExportImportMixedTags(t *testing.T) {
 		}
 	}
 }
-
-// TestParseCodec pins the flag-name mapping.
-func TestParseCodec(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Codec
-		ok   bool
-	}{
-		{"float32", CodecFloat32, true},
-		{"", CodecFloat32, true},
-		{"int8", CodecInt8, true},
-		{"f32", CodecF32, true},
-		{"f64", CodecFloat32, false},
-		{"int4", CodecFloat32, false},
-	}
-	for _, c := range cases {
-		got, ok := ParseCodec(c.in)
-		if got != c.want || ok != c.ok {
-			t.Fatalf("ParseCodec(%q) = (%v, %v), want (%v, %v)", c.in, got, ok, c.want, c.ok)
-		}
-	}
-	for _, c := range []Codec{CodecFloat32, CodecInt8, CodecF32} {
-		got, ok := ParseCodec(c.String())
-		if !ok || got != c {
-			t.Fatalf("ParseCodec(%q) did not round-trip", c.String())
-		}
-	}
-}

@@ -53,7 +53,7 @@ func TestEvictionEquivalentToColdStart(t *testing.T) {
 	}
 
 	// Evict user 1 and require the exact cold-start bits.
-	if n := store.EvictIdle(predTS + store.opts.EvictAfter + 10_000); n != 1 {
+	if n := evictIdle(store, predTS+store.opts.EvictAfter+10_000); n != 1 {
 		t.Fatalf("evicted %d states, want 1", n)
 	}
 	afterEvict := svc.OnSessionStart(1, predTS, cat)

@@ -576,19 +576,6 @@ func (s *Store) maybeSweep() {
 	}
 }
 
-// EvictIdle evicts every state whose record timestamp lags now by more
-// than the idle horizon, and returns how many it removed. Exposed so
-// replay drivers and tests can force a deterministic sweep; automatic
-// sweeps use the store's own virtual clock.
-func (s *Store) EvictIdle(now int64) int {
-	if s.opts.EvictAfter <= 0 {
-		return 0
-	}
-	s.sweepMu.Lock()
-	defer s.sweepMu.Unlock()
-	return s.evictIdleLocked(now)
-}
-
 func (s *Store) evictIdleLocked(now int64) int {
 	horizon := now - s.opts.EvictAfter
 	evicted := 0

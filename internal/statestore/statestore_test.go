@@ -15,7 +15,15 @@ func wireState(dim int, seed uint64, ts int64) []byte {
 	rng := tensor.NewRNG(seed)
 	h := tensor.NewVector(dim)
 	rng.FillUniform(h, -1, 1)
-	return serving.EncodeHidden(h, ts)
+	return serving.EncodeHiddenInto(nil, h, ts)
+}
+
+// evictIdle forces a deterministic idle sweep at virtual time now: every
+// state whose record timestamp lags now by more than EvictAfter goes.
+func evictIdle(s *Store, now int64) int {
+	s.sweepMu.Lock()
+	defer s.sweepMu.Unlock()
+	return s.evictIdleLocked(now)
 }
 
 func TestVolatileRoundTrip(t *testing.T) {
@@ -39,11 +47,12 @@ func TestVolatileRoundTrip(t *testing.T) {
 			} else {
 				// The int8 tier must round-trip exactly like the serving
 				// quantized codec: decode, quantize in float64, re-encode.
-				h, ts, ok := serving.DecodeHidden(wire)
+				h := tensor.NewVector(16)
+				ts, ok := serving.DecodeHiddenInto(wire, h)
 				if !ok {
 					t.Fatal("bad wire value")
 				}
-				want := serving.EncodeHidden(serving.QuantizeRoundTrip(h), ts)
+				want := serving.EncodeHiddenInto(nil, serving.QuantizeRoundTrip(h), ts)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("int8 tier disagrees with serving quantized codec")
 				}
@@ -135,7 +144,7 @@ func TestEvictIdleExplicit(t *testing.T) {
 		s.Put(fmt.Sprintf("h:%d", i), wireState(4, uint64(i), int64(100+i)))
 	}
 	// now=200: horizon 150, every state (ts 100..109) goes.
-	if n := s.EvictIdle(200); n != 10 {
+	if n := evictIdle(s, 200); n != 10 {
 		t.Fatalf("evicted %d, want 10", n)
 	}
 	if st := s.Stats(); st.Keys != 0 || st.BytesStored != 0 {

@@ -193,7 +193,7 @@ func TestTimeshiftValid(t *testing.T) {
 
 func TestTimeshiftPositiveRateBand(t *testing.T) {
 	d := smallTimeshift(1)
-	pr := PeakWindowPositiveRate(d)
+	pr := peakWindowPositiveRate(d)
 	// Paper: 7.1% over peak windows. Accept a band.
 	if pr < 0.03 || pr > 0.16 {
 		t.Fatalf("Timeshift positive rate %v outside [0.03, 0.16]", pr)
@@ -444,4 +444,30 @@ func TestLogisticRange(t *testing.T) {
 	if logistic(0) != 0.5 {
 		t.Fatalf("logistic(0) != 0.5")
 	}
+}
+
+// peakWindowPositiveRate returns the fraction of peak windows with an
+// access.
+func peakWindowPositiveRate(d *dataset.Dataset) float64 {
+	pos, total := 0, 0
+	for _, u := range d.Users {
+		for _, w := range u.Windows {
+			total++
+			if w.Accessed {
+				pos++
+			}
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(pos) / float64(total)
+}
+
+// meanSessionsPerUser returns the mean session count per user.
+func meanSessionsPerUser(d *dataset.Dataset) float64 {
+	if len(d.Users) == 0 {
+		return 0
+	}
+	return float64(d.NumSessions()) / float64(len(d.Users))
 }

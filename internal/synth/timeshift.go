@@ -176,29 +176,3 @@ func GenerateTimeshift(cfg TimeshiftConfig) *dataset.Dataset {
 	}
 	return d
 }
-
-// PeakWindowPositiveRate returns the fraction of peak windows with an
-// access; exposed for calibration tests.
-func PeakWindowPositiveRate(d *dataset.Dataset) float64 {
-	pos, total := 0, 0
-	for _, u := range d.Users {
-		for _, w := range u.Windows {
-			total++
-			if w.Accessed {
-				pos++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(pos) / float64(total)
-}
-
-// meanSessionsPerUser is used by calibration tests.
-func meanSessionsPerUser(d *dataset.Dataset) float64 {
-	if len(d.Users) == 0 {
-		return 0
-	}
-	return float64(d.NumSessions()) / float64(len(d.Users))
-}

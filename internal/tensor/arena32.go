@@ -38,9 +38,6 @@ func (a *Arena32) alloc(n int) []float32 {
 	return make([]float32, n)
 }
 
-// Vector returns an arena-backed vector of length n (contents unspecified).
-func (a *Arena32) Vector(n int) Vector32 { return Vector32(a.alloc(n)) }
-
 // Matrix returns an arena-backed rows×cols matrix (contents unspecified).
 func (a *Arena32) Matrix(rows, cols int) *Matrix32 {
 	var m *Matrix32

@@ -34,8 +34,8 @@ func TestMulMatTBitIdenticalToMulVec(t *testing.T) {
 		for i := 0; i < sh.m; i++ {
 			w.MulVec(want, a.Row(i))
 			for j, x := range want {
-				if got.At(i, j) != x {
-					t.Fatalf("%dx%dx%d: row %d col %d: got %v want %v", sh.m, sh.k, sh.n, i, j, got.At(i, j), x)
+				if got.Row(i)[j] != x {
+					t.Fatalf("%dx%dx%d: row %d col %d: got %v want %v", sh.m, sh.k, sh.n, i, j, got.Row(i)[j], x)
 				}
 			}
 		}

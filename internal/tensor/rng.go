@@ -93,16 +93,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with mean 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // LogNormal returns a log-normal variate with the given log-space mean and
 // standard deviation.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
@@ -120,46 +110,6 @@ func (r *RNG) Pareto(xm, alpha float64) float64 {
 		u := r.Float64()
 		if u > 0 {
 			return xm / math.Pow(u, 1/alpha)
-		}
-	}
-}
-
-// Beta returns a Beta(a, b) variate (via Jöhnk's algorithm for small
-// parameters and gamma ratio otherwise).
-func (r *RNG) Beta(a, b float64) float64 {
-	x := r.Gamma(a)
-	y := r.Gamma(b)
-	if x+y == 0 {
-		return 0.5
-	}
-	return x / (x + y)
-}
-
-// Gamma returns a Gamma(shape, 1) variate using Marsaglia–Tsang.
-func (r *RNG) Gamma(shape float64) float64 {
-	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^(1/a).
-		u := r.Float64()
-		for u == 0 {
-			u = r.Float64()
-		}
-		return r.Gamma(shape+1) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		if math.Log(u) < 0.5*x*x+d-d*v+d*math.Log(v) {
-			return d * v
 		}
 	}
 }
@@ -184,13 +134,6 @@ func (r *RNG) Poisson(mean float64) int {
 		p *= r.Float64()
 	}
 	return k - 1
-}
-
-// FillNormal fills v with N(0, std²) values.
-func (r *RNG) FillNormal(v Vector, std float64) {
-	for i := range v {
-		v[i] = std * r.NormFloat64()
-	}
 }
 
 // FillUniform fills v with Uniform(lo, hi) values.

@@ -11,7 +11,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -50,85 +49,11 @@ func (v Vector) Add(other Vector) {
 	}
 }
 
-// Sub subtracts other from v element-wise.
-func (v Vector) Sub(other Vector) {
-	checkLen("Vector.Sub", len(v), len(other))
-	for i, x := range other {
-		v[i] -= x
-	}
-}
-
 // Scale multiplies every element of v by a.
 func (v Vector) Scale(a float64) {
 	for i := range v {
 		v[i] *= a
 	}
-}
-
-// AXPY computes v += a*x.
-func (v Vector) AXPY(a float64, x Vector) {
-	checkLen("Vector.AXPY", len(v), len(x))
-	for i, xi := range x {
-		v[i] += a * xi
-	}
-}
-
-// MulElem multiplies v element-wise by other.
-func (v Vector) MulElem(other Vector) {
-	checkLen("Vector.MulElem", len(v), len(other))
-	for i, x := range other {
-		v[i] *= x
-	}
-}
-
-// Dot returns the inner product of v and other.
-func (v Vector) Dot(other Vector) float64 {
-	checkLen("Vector.Dot", len(v), len(other))
-	var s float64
-	for i, x := range other {
-		s += v[i] * x
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func (v Vector) Norm2() float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// Sum returns the sum of the elements of v.
-func (v Vector) Sum() float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// Max returns the maximum element of v; -Inf for an empty vector.
-func (v Vector) Max() float64 {
-	m := math.Inf(-1)
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// ArgMax returns the index of the maximum element, or -1 for empty v.
-func (v Vector) ArgMax() int {
-	idx, m := -1, math.Inf(-1)
-	for i, x := range v {
-		if x > m {
-			m, idx = x, i
-		}
-	}
-	return idx
 }
 
 // Concat returns the concatenation of the given vectors as a new vector.
@@ -158,65 +83,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must all share one length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		checkLen("tensor.FromRows", cols, len(r))
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, x float64) { m.Data[i*m.Cols+j] = x }
-
 // Row returns row i as a mutable slice view.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// Zero sets every element of m to 0.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
-// Scale multiplies every element of m by a.
-func (m *Matrix) Scale(a float64) {
-	for i := range m.Data {
-		m.Data[i] *= a
-	}
-}
-
-// Add accumulates other into m. Panics if shapes differ.
-func (m *Matrix) Add(other *Matrix) {
-	m.checkShape("Matrix.Add", other)
-	for i, x := range other.Data {
-		m.Data[i] += x
-	}
-}
-
-// AXPY computes m += a*x.
-func (m *Matrix) AXPY(a float64, x *Matrix) {
-	m.checkShape("Matrix.AXPY", x)
-	for i, xi := range x.Data {
-		m.Data[i] += a * xi
-	}
-}
 
 // sparseCutoff gates the sparse fast paths: for vectors at least this long
 // whose nonzero fraction is below 1/4, gathering the nonzero indices first
@@ -331,17 +199,6 @@ func (m *Matrix) MulVecAdd(dst, x Vector) {
 	}
 }
 
-// MulVecT computes dst = mᵀ · x where x has length Rows and dst length Cols.
-// dst is overwritten. It must not alias x.
-func (m *Matrix) MulVecT(dst, x Vector) {
-	checkLen("Matrix.MulVecT x", m.Rows, len(x))
-	checkLen("Matrix.MulVecT dst", m.Cols, len(dst))
-	for j := range dst {
-		dst[j] = 0
-	}
-	m.MulVecTAdd(dst, x)
-}
-
 // MulVecTAdd computes dst += mᵀ · x.
 func (m *Matrix) MulVecTAdd(dst, x Vector) {
 	checkLen("Matrix.MulVecTAdd x", m.Rows, len(x))
@@ -391,22 +248,6 @@ func (m *Matrix) RankOneAdd(a float64, u, v Vector) {
 		for j, vj := range v {
 			row[j] += s * vj
 		}
-	}
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, x := range m.Data {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-func (m *Matrix) checkShape(op string, other *Matrix) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic(fmt.Sprintf("tensor: %s: shape mismatch %dx%d vs %dx%d",
-			op, m.Rows, m.Cols, other.Rows, other.Cols))
 	}
 }
 

@@ -23,13 +23,6 @@ type Vector32 []float32
 // NewVector32 returns a zero vector of length n.
 func NewVector32(n int) Vector32 { return make(Vector32, n) }
 
-// Clone returns a copy of v.
-func (v Vector32) Clone() Vector32 {
-	out := make(Vector32, len(v))
-	copy(out, v)
-	return out
-}
-
 // Zero sets every element of v to 0.
 func (v Vector32) Zero() {
 	for i := range v {
@@ -42,14 +35,6 @@ func (v Vector32) CopyFromF64(src Vector) {
 	checkLen("Vector32.CopyFromF64", len(v), len(src))
 	for i, x := range src {
 		v[i] = float32(x)
-	}
-}
-
-// ToF64 widens v into dst element-wise (exact: every float32 is a float64).
-func (v Vector32) ToF64(dst Vector) {
-	checkLen("Vector32.ToF64", len(v), len(dst))
-	for i, x := range v {
-		dst[i] = float64(x)
 	}
 }
 
@@ -75,13 +60,6 @@ func (m *Matrix32) Set(i, j int, x float32) { m.Data[i*m.Cols+j] = x }
 
 // Row returns row i as a mutable slice view.
 func (m *Matrix32) Row(i int) Vector32 { return Vector32(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
-// Zero sets every element of m to 0.
-func (m *Matrix32) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
 
 // gatherNonzeros32 is gatherNonzeros for float32 vectors: it fills buf with
 // the indices of x's nonzero entries, returning nil when a dense pass is
@@ -202,25 +180,5 @@ func (m *Matrix32) MulVecT(dst, x Vector32) bool {
 		}
 	}
 	nzPool.Put(buf)
-	return true
-}
-
-// MostlySparse reports whether the rows of m clear the sparse-path
-// threshold of MulVec (row length ≥ sparseCutoff, panel density < 1/4),
-// with the same thresholds as the f64 Matrix.
-func (m *Matrix32) MostlySparse() bool {
-	if m.Cols < sparseCutoff {
-		return false
-	}
-	nz := 0
-	limit := len(m.Data) / 4
-	for _, v := range m.Data {
-		if v != 0 {
-			nz++
-			if nz >= limit {
-				return false
-			}
-		}
-	}
 	return true
 }

@@ -8,6 +8,22 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// fillNormal fills v with N(0, std²) draws from rng.
+func fillNormal(rng *RNG, v Vector, std float64) {
+	for i := range v {
+		v[i] = std * rng.NormFloat64()
+	}
+}
+
+// fromRows builds a matrix from row slices of one length.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
 func TestVectorBasicOps(t *testing.T) {
 	v := Vector{1, 2, 3}
 	w := Vector{4, 5, 6}
@@ -22,55 +38,12 @@ func TestVectorBasicOps(t *testing.T) {
 	}
 
 	got = v.Clone()
-	got.Sub(w)
-	want = Vector{-3, -3, -3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Sub: got %v, want %v", got, want)
-		}
-	}
-
-	got = v.Clone()
 	got.Scale(2)
 	want = Vector{2, 4, 6}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("Scale: got %v, want %v", got, want)
 		}
-	}
-
-	got = v.Clone()
-	got.AXPY(0.5, w)
-	want = Vector{3, 4.5, 6}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AXPY: got %v, want %v", got, want)
-		}
-	}
-
-	got = v.Clone()
-	got.MulElem(w)
-	want = Vector{4, 10, 18}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MulElem: got %v, want %v", got, want)
-		}
-	}
-
-	if d := v.Dot(w); d != 32 {
-		t.Fatalf("Dot: got %v, want 32", d)
-	}
-	if s := v.Sum(); s != 6 {
-		t.Fatalf("Sum: got %v, want 6", s)
-	}
-	if n := (Vector{3, 4}).Norm2(); n != 5 {
-		t.Fatalf("Norm2: got %v, want 5", n)
-	}
-	if m := w.Max(); m != 6 {
-		t.Fatalf("Max: got %v, want 6", m)
-	}
-	if i := w.ArgMax(); i != 2 {
-		t.Fatalf("ArgMax: got %v, want 2", i)
 	}
 }
 
@@ -87,22 +60,6 @@ func TestVectorZeroAndFill(t *testing.T) {
 		if x != 0 {
 			t.Fatalf("Zero: got %v", v)
 		}
-	}
-}
-
-func TestVectorEmptyEdgeCases(t *testing.T) {
-	var v Vector
-	if v.Sum() != 0 {
-		t.Errorf("empty Sum != 0")
-	}
-	if !math.IsInf(v.Max(), -1) {
-		t.Errorf("empty Max should be -Inf")
-	}
-	if v.ArgMax() != -1 {
-		t.Errorf("empty ArgMax should be -1")
-	}
-	if v.Norm2() != 0 {
-		t.Errorf("empty Norm2 != 0")
 	}
 }
 
@@ -131,34 +88,20 @@ func TestVectorLengthMismatchPanics(t *testing.T) {
 
 func TestMatrixAccessors(t *testing.T) {
 	m := NewMatrix(2, 3)
-	m.Set(0, 1, 5)
-	m.Set(1, 2, 7)
-	if m.At(0, 1) != 5 || m.At(1, 2) != 7 {
-		t.Fatalf("Set/At mismatch: %v", m.Data)
+	m.Data[0*3+1] = 5
+	m.Data[1*3+2] = 7
+	if m.Row(0)[1] != 5 || m.Row(1)[2] != 7 {
+		t.Fatalf("Row/Data mismatch: %v", m.Data)
 	}
 	row := m.Row(1)
 	row[0] = 9
-	if m.At(1, 0) != 9 {
+	if m.Data[1*3+0] != 9 {
 		t.Fatalf("Row must be a mutable view")
 	}
 }
 
-func TestFromRows(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if m.Rows != 3 || m.Cols != 2 {
-		t.Fatalf("shape: got %dx%d", m.Rows, m.Cols)
-	}
-	if m.At(2, 1) != 6 {
-		t.Fatalf("At(2,1): got %v", m.At(2, 1))
-	}
-	empty := FromRows(nil)
-	if empty.Rows != 0 || empty.Cols != 0 {
-		t.Fatalf("empty FromRows: got %dx%d", empty.Rows, empty.Cols)
-	}
-}
-
 func TestMulVec(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	x := Vector{1, 0, -1}
 	dst := NewVector(2)
 	m.MulVec(dst, x)
@@ -172,35 +115,36 @@ func TestMulVec(t *testing.T) {
 }
 
 func TestMulVecT(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	x := Vector{1, -1}
 	dst := NewVector(3)
-	m.MulVecT(dst, x)
+	m.MulVecTAdd(dst, x)
 	want := Vector{-3, -3, -3}
 	for i := range want {
 		if dst[i] != want[i] {
-			t.Fatalf("MulVecT: got %v, want %v", dst, want)
+			t.Fatalf("MulVecTAdd: got %v, want %v", dst, want)
 		}
 	}
 }
 
-// MulVecT must agree with an explicit transpose followed by MulVec.
+// MulVecTAdd into a zero vector must agree with an explicit transpose
+// followed by MulVec.
 func TestMulVecTMatchesExplicitTranspose(t *testing.T) {
 	rng := NewRNG(42)
 	for trial := 0; trial < 20; trial++ {
 		rows, cols := 1+rng.Intn(8), 1+rng.Intn(8)
 		m := NewMatrix(rows, cols)
-		rng.FillNormal(m.Data, 1)
+		fillNormal(rng, m.Data, 1)
 		x := NewVector(rows)
-		rng.FillNormal(x, 1)
+		fillNormal(rng, x, 1)
 
 		viaT := NewVector(cols)
-		m.MulVecT(viaT, x)
+		m.MulVecTAdd(viaT, x)
 
 		mt := NewMatrix(cols, rows)
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
-				mt.Set(j, i, m.At(i, j))
+				mt.Row(j)[i] = m.Row(i)[j]
 			}
 		}
 		direct := NewVector(cols)
@@ -208,7 +152,7 @@ func TestMulVecTMatchesExplicitTranspose(t *testing.T) {
 
 		for j := 0; j < cols; j++ {
 			if !almostEq(viaT[j], direct[j], 1e-12) {
-				t.Fatalf("trial %d: MulVecT disagrees with transpose: %v vs %v", trial, viaT, direct)
+				t.Fatalf("trial %d: MulVecTAdd disagrees with transpose: %v vs %v", trial, viaT, direct)
 			}
 		}
 	}
@@ -220,28 +164,10 @@ func TestRankOneAdd(t *testing.T) {
 	want := [][]float64{{2, 4, 6}, {-2, -4, -6}}
 	for i := range want {
 		for j := range want[i] {
-			if m.At(i, j) != want[i][j] {
+			if m.Row(i)[j] != want[i][j] {
 				t.Fatalf("RankOneAdd: got %v", m.Data)
 			}
 		}
-	}
-}
-
-func TestMatrixAddScaleClone(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := a.Clone()
-	b.Scale(2)
-	a.Add(b)
-	if a.At(1, 1) != 12 {
-		t.Fatalf("Add/Scale: got %v", a.Data)
-	}
-	b.Zero()
-	if b.FrobeniusNorm() != 0 {
-		t.Fatalf("Zero: got %v", b.Data)
-	}
-	c := FromRows([][]float64{{3, 4}})
-	if n := c.FrobeniusNorm(); n != 5 {
-		t.Fatalf("FrobeniusNorm: got %v", n)
 	}
 }
 
@@ -251,31 +177,7 @@ func TestMatrixShapeMismatchPanics(t *testing.T) {
 			t.Fatalf("expected panic on shape mismatch")
 		}
 	}()
-	NewMatrix(2, 2).Add(NewMatrix(2, 3))
-}
-
-// Property: dot product is symmetric and linear in its first argument.
-func TestDotProperties(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := NewRNG(seed)
-		n := 1 + rng.Intn(16)
-		a, b, c := NewVector(n), NewVector(n), NewVector(n)
-		rng.FillNormal(a, 1)
-		rng.FillNormal(b, 1)
-		rng.FillNormal(c, 1)
-		alpha := rng.NormFloat64()
-
-		if !almostEq(a.Dot(b), b.Dot(a), 1e-9) {
-			return false
-		}
-		// (a + alpha*c)·b == a·b + alpha*(c·b)
-		lhs := a.Clone()
-		lhs.AXPY(alpha, c)
-		return almostEq(lhs.Dot(b), a.Dot(b)+alpha*c.Dot(b), 1e-8)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+	NewMatrix(2, 2).MulVec(NewVector(2), NewVector(3))
 }
 
 // Property: MulVec distributes over vector addition.
@@ -284,10 +186,10 @@ func TestMulVecLinearity(t *testing.T) {
 		rng := NewRNG(seed)
 		rows, cols := 1+rng.Intn(10), 1+rng.Intn(10)
 		m := NewMatrix(rows, cols)
-		rng.FillNormal(m.Data, 1)
+		fillNormal(rng, m.Data, 1)
 		x, y := NewVector(cols), NewVector(cols)
-		rng.FillNormal(x, 1)
-		rng.FillNormal(y, 1)
+		fillNormal(rng, x, 1)
+		fillNormal(rng, y, 1)
 
 		xy := x.Clone()
 		xy.Add(y)
@@ -317,21 +219,26 @@ func TestRankOneAddConsistentWithMulVec(t *testing.T) {
 		rng := NewRNG(seed)
 		rows, cols := 1+rng.Intn(8), 1+rng.Intn(8)
 		m := NewMatrix(rows, cols)
-		rng.FillNormal(m.Data, 1)
+		fillNormal(rng, m.Data, 1)
 		u, v, x := NewVector(rows), NewVector(cols), NewVector(cols)
-		rng.FillNormal(u, 1)
-		rng.FillNormal(v, 1)
-		rng.FillNormal(x, 1)
+		fillNormal(rng, u, 1)
+		fillNormal(rng, v, 1)
+		fillNormal(rng, x, 1)
 		a := rng.NormFloat64()
 
 		before := NewVector(rows)
 		m.MulVec(before, x)
-		m2 := m.Clone()
+		m2 := NewMatrix(rows, cols)
+		copy(m2.Data, m.Data)
 		m2.RankOneAdd(a, u, v)
 		after := NewVector(rows)
 		m2.MulVec(after, x)
 
-		s := a * v.Dot(x)
+		var vx float64
+		for j := range v {
+			vx += v[j] * x[j]
+		}
+		s := a * vx
 		for i := range after {
 			if !almostEq(after[i], before[i]+s*u[i], 1e-8) {
 				return false

@@ -82,9 +82,6 @@ func NewClient(addr string, opts ClientOptions) *Client {
 	return c
 }
 
-// Addr returns the server address the client dials.
-func (c *Client) Addr() string { return c.addr }
-
 // Close tears down every pooled connection and fails in-flight requests.
 // It cannot fail: closing is a state flip plus best-effort socket closes.
 func (c *Client) Close() {
