@@ -88,11 +88,12 @@ func BenchmarkRNNTrainEpoch(b *testing.B) {
 	cfg.HiddenDim = 32
 	m := core.New(d.Schema, cfg)
 	tr := core.NewTrainer(m, core.DefaultTrainConfig())
-	b.ReportMetric(float64(d.NumSessions()), "sessions/epoch")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.TrainEpoch(d, uint64(i))
 	}
+	// After the loop: ResetTimer clears metrics reported before it.
+	b.ReportMetric(float64(d.NumSessions()), "sessions/epoch")
 }
 
 // BenchmarkRNNTrainEpochPadded measures the same epoch under emulated
@@ -128,11 +129,11 @@ func BenchmarkGBDTFit(b *testing.B) {
 	}
 	cfg := gbdt.DefaultConfig()
 	cfg.Rounds = 20
-	b.ReportMetric(float64(len(X)), "examples")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gbdt.Fit(cfg, X, y)
 	}
+	b.ReportMetric(float64(len(X)), "examples")
 }
 
 // ---- Serving-path micro benchmarks (the §9 cost comparison, measured) ----

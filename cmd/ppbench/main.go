@@ -1,14 +1,12 @@
 // Command ppbench regenerates the paper's tables and figures
-// (see DESIGN.md's per-experiment index), and runs the HTTP-tier load
-// suite. The repo's tracked benchmark is bench/ (go run ./bench).
+// (see DESIGN.md's per-experiment index). The repo's tracked benchmark
+// is bench/ (go run ./bench).
 //
 // Usage:
 //
 //	ppbench -exp all                 # every experiment, default scale
 //	ppbench -exp table3 -scale quick # one experiment, reduced scale
 //	ppbench -list
-//	ppbench -bench server            # online HTTP tier -> BENCH_server.json
-//	ppbench -bench server -scale quick    # CI short mode
 package main
 
 import (
@@ -23,13 +21,11 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id or 'all' (see -list)")
-		scale    = flag.String("scale", "default", "quick | default")
-		users    = flag.Int("users", 0, "override MobileTab/Timeshift user count")
-		verbose  = flag.Bool("v", false, "log training progress")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		bench    = flag.String("bench", "", "run a benchmark suite instead of experiments (server)")
-		benchOut = flag.String("bench-out", "", "JSON output path for -bench (default BENCH_server.json)")
+		exp     = flag.String("exp", "all", "experiment id or 'all' (see -list)")
+		scale   = flag.String("scale", "default", "quick | default")
+		users   = flag.Int("users", 0, "override MobileTab/Timeshift user count")
+		verbose = flag.Bool("v", false, "log training progress")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
 
@@ -37,26 +33,6 @@ func main() {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
 		}
-		return
-	}
-
-	if *bench != "" {
-		if *bench != "server" {
-			fmt.Fprintf(os.Stderr, "ppbench: unknown bench suite %q (have: server)\n", *bench)
-			os.Exit(2)
-		}
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_server.json"
-		}
-		t0 := time.Now()
-		suite := experiments.RunServerBench(*scale == "quick")
-		fmt.Println(suite.Render())
-		if err := suite.WriteJSON(out); err != nil {
-			fmt.Fprintf(os.Stderr, "ppbench: writing %s: %v\n", out, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%v)\n", out, time.Since(t0).Round(time.Second))
 		return
 	}
 

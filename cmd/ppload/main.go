@@ -23,7 +23,7 @@
 //	ppload -addr http://127.0.0.1:8080 -wire 127.0.0.1:9080 -users 500
 //	ppload -data mobiletab.ppds -rate 2000 -predict-every 4
 //	ppload -users 120 -seed 7 -expect-digest $(ppserve -users 120 -seed 7 -digest | awk '/state digest/{print $3}')
-//	ppload -users 500 -out BENCH_server.json
+//	ppload -users 500 -out load.json
 package main
 
 import (

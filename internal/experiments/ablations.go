@@ -126,7 +126,6 @@ func (l *Lab) ByID(id string) *Report {
 		"serving":       l.ServingCost,
 		"parallel":      l.Parallelism,
 		"lifecycle":     l.Lifecycle,
-		"loadtest":      l.Loadtest,
 		"cluster":       l.Cluster,
 		"failover":      l.Failover,
 		"chaos":         l.Chaos,
@@ -151,7 +150,7 @@ func IDs() []string {
 	return []string{
 		"table1", "table2", "figure1", "table3", "table4", "table5",
 		"figure4", "figure5", "figure6", "figure7", "online-recall",
-		"serving", "parallel", "lifecycle", "loadtest", "cluster", "failover", "chaos", "batching", "cells", "latentcross", "hiddendim", "losswindow",
+		"serving", "parallel", "lifecycle", "cluster", "failover", "chaos", "batching", "cells", "latentcross", "hiddendim", "losswindow",
 		"stacked", "universal", "retrain", "quantization",
 	}
 }

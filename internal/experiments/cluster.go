@@ -20,10 +20,10 @@ import (
 // drain-and-handoff. The report shows how traffic and states spread across
 // replicas and whether the aggregate digest stayed byte-identical to the
 // sequential replay — the property that makes the cluster a drop-in
-// replacement for the single process. (Throughput comparisons live in the
-// loadtest experiment and BENCH_server.json; this driver runs the volatile
-// store, so it also exercises the wire-format branch of the transfer
-// endpoints that the durable parity tests don't.)
+// replacement for the single process. (Cluster throughput is measured by
+// bench/'s cluster-wire workload; this driver runs the volatile store, so
+// it also exercises the wire-format branch of the transfer endpoints that
+// the durable parity tests don't.)
 
 // Cluster replays the cohort through a resharding 3-replica cluster and
 // reports per-replica traffic plus the parity outcome.

@@ -256,8 +256,7 @@ func TestByIDAndIDsAgree(t *testing.T) {
 		switch id {
 		case "hiddendim", "cells", "latentcross", "losswindow", "batching",
 			"table5", "figure4", "figure7", "online-recall", "serving",
-			"stacked", "universal", "retrain", "quantization", "loadtest",
-			"cluster":
+			"stacked", "universal", "retrain", "quantization", "cluster":
 			// heavy drivers exercised in dedicated tests above
 			continue
 		}

@@ -275,6 +275,7 @@ func (f *Follower) consume(r *bufio.Reader, w *bufio.Writer) (applied int64, err
 		return w.Flush()
 	}
 	var buf []byte
+	var bootEpoch string // the epoch a running bootstrap commits at fBootEnd
 	sinceAck := 0
 	for {
 		typ, payload, ferr := readFrame(r, buf)
@@ -289,9 +290,16 @@ func (f *Follower) consume(r *bufio.Reader, w *bufio.Writer) (applied int64, err
 				return applied, err
 			}
 			f.mu.Lock()
-			f.epoch = h.Epoch
 			if typ == fBootStart {
+				// Until fBootEnd the store is wiped and partly re-imported,
+				// so it has no position under any epoch: a link that drops
+				// mid-bootstrap must re-bootstrap rather than resume a tail,
+				// and Status must not report the old position meanwhile.
+				f.epoch, f.lastSeq = "", 0
+				bootEpoch = h.Epoch
 				f.bootstraps++
+			} else {
+				f.epoch = h.Epoch
 			}
 			f.mu.Unlock()
 			if typ == fBootStart {
@@ -314,7 +322,7 @@ func (f *Follower) consume(r *bufio.Reader, w *bufio.Writer) (applied int64, err
 				return applied, perr
 			}
 			f.mu.Lock()
-			f.lastSeq = from - 1
+			f.epoch, f.lastSeq = bootEpoch, from-1
 			f.mu.Unlock()
 			applied++
 			if err := ack(from - 1); err != nil {

@@ -17,11 +17,12 @@ import (
 
 // The load generator replays an event log over the HTTP API, closed- or
 // open-loop, and reports latency histograms. It is shared by cmd/ppload
-// (standalone driver) and the loadtest experiment (in-process benchmark),
-// and its per-user ordering rules are what make the HTTP replay parity-
-// comparable with in-process sequential replay: users are sharded across
-// workers (a user's events stay on one connection, in timestamp order) and
-// a session's start and access events always ride the same POST.
+// (standalone driver), the cluster/failover/chaos experiments and the
+// parity tests, and its per-user ordering rules are what make the HTTP
+// replay parity-comparable with in-process sequential replay: users are
+// sharded across workers (a user's events stay on one connection, in
+// timestamp order) and a session's start and access events always ride
+// the same POST.
 
 // ReplayEvent is one session of the replay log: a start event plus an
 // optional access 30 virtual seconds later (the same shape ppserve's
@@ -36,7 +37,7 @@ type ReplayEvent struct {
 
 // ReplayCohort generates the deterministic MobileTab serving cohort:
 // users*2 synthetic users, half for training, half replayed. ppserve,
-// ppload and the loadtest experiment all derive their cohorts (and so
+// ppload and the cluster experiments all derive their cohorts (and so
 // their replay logs) from this one function, which is what makes the HTTP
 // parity gate compare identical traffic and identically-trained models by
 // construction.
@@ -626,26 +627,6 @@ func Digest(baseURL string, client *http.Client) (keys int, digest string, err e
 		return 0, "", err
 	}
 	return out.Keys, out.Digest, nil
-}
-
-// FetchStatz GETs /statz.
-func FetchStatz(baseURL string, client *http.Client) (*Statz, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Get(baseURL + "/statz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("statz: HTTP %d", resp.StatusCode)
-	}
-	var out Statz
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // WaitHealthy polls /healthz until the server answers or the timeout

@@ -270,21 +270,18 @@ func (s *Server) registerHTTP(h *http.Server) bool {
 
 // ListenAndServe serves the API on addr until Shutdown.
 func (s *Server) ListenAndServe(addr string) error {
-	h := &http.Server{Addr: addr, Handler: s.mux}
-	if !s.registerHTTP(h) {
-		return nil
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
 	}
-	err := h.ListenAndServe()
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
+	return s.Serve(l)
 }
 
-// Serve serves the API on an existing listener until Shutdown.
+// Serve serves the API on l until Shutdown, and closes l on return.
 func (s *Server) Serve(l net.Listener) error {
 	h := &http.Server{Handler: s.mux}
 	if !s.registerHTTP(h) {
+		l.Close()
 		return nil
 	}
 	err := h.Serve(l)

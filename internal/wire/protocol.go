@@ -1,9 +1,8 @@
 // Package wire is the binary transport for the hot event/predict path.
 //
-// HTTP/JSON carried every request until PR 8, and BENCH_server.json showed
-// the cost: a 3-replica router delivered less throughput than a single
-// replica because each hop decoded JSON, re-marshalled it, and paid a
-// fresh net/http request cycle. This package replaces that hop with
+// Over HTTP/JSON every router hop decodes JSON, re-marshals it, and pays
+// a fresh net/http request cycle, so a 3-replica router delivered less
+// throughput than a single replica. This package replaces that hop with
 // persistent connections carrying length-prefixed binary frames — the same
 // [1B type][4B little-endian payload length][payload][4B little-endian
 // CRC-32 (IEEE) over type+length+payload] layout the replication link
