@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/replication"
 	"repro/internal/server"
 	"repro/internal/serving"
@@ -161,6 +162,68 @@ func TestRouterFailoverParity(t *testing.T) {
 	b.stop(t)
 	fa.stop(t)
 	shutdownKilled(t, a)
+}
+
+// TestFailoverRefusesFollowerMidBootstrap promotes a follower whose
+// bootstrap is still streaming. Its store was wiped and is only partly
+// re-imported, so the router must keep the dead replica in the ring,
+// record why in last_failover_err and return the error, rather than hand
+// the follower arcs whose states it does not hold.
+func TestFailoverRefusesFollowerMidBootstrap(t *testing.T) {
+	defer faults.Disarm()
+	m := testModel(t, 16)
+	a, b := startReplica(t, m), startReplica(t, m)
+	for i := 0; i < 4000; i++ {
+		a.state.Put(fmt.Sprintf("h:%d", i), wireHidden(16, uint64(i)+1, int64(1000+i)))
+	}
+	// The follower's ninth read on its link sleeps. The first reads carry
+	// the upgrade response, fBootStart and some entries; the bootstrap
+	// spans far more than nine reads, so the sleep lands inside it and
+	// the promotion below closes the link before fBootEnd can arrive.
+	if err := faults.Arm(&faults.Plan{Seed: 1, Rules: []faults.Rule{
+		{Point: "repl.conn.read", Match: a.ts.URL, Action: faults.ActDelay, DelayMs: 2000, After: 8, Count: 1},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	fa := startFollower(t, m, a.ts.URL)
+	deadline := time.Now().Add(10 * time.Second)
+	for faults.Counters()["repl.conn.read/"+faults.ActDelay] == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the bootstrap never reached the stalled read: %+v", fa.fol.Status())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	router, err := New(Options{
+		Replicas:  []string{a.ts.URL, b.ts.URL},
+		Followers: map[string]string{a.ts.URL: fa.ts.URL},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := router.Failover(a.ts.URL); err == nil {
+		t.Fatal("a follower promoted mid-bootstrap took over the dead replica's arcs")
+	}
+	if got := router.Failovers(); got != 0 {
+		t.Fatalf("failovers = %d, want 0", got)
+	}
+	inRing := false
+	for _, u := range router.Ring().Replicas() {
+		inRing = inRing || u == a.ts.URL
+	}
+	if !inRing {
+		t.Fatal("a refused failover took the dead replica out of the ring")
+	}
+	router.healthMu.Lock()
+	lastErr := router.lastFailoverErr
+	router.healthMu.Unlock()
+	if lastErr == "" {
+		t.Fatal("a refused failover left last_failover_err empty")
+	}
+
+	fa.stop(t)
+	a.stop(t)
+	b.stop(t)
 }
 
 // TestProberAutoFailoverAndRereplication covers the automatic path: the

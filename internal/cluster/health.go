@@ -69,11 +69,9 @@ func (r *Router) runProber() {
 	defer tick.Stop()
 	for {
 		for _, dead := range r.probeOnce() {
-			if err := r.Failover(dead); err != nil {
-				r.healthMu.Lock()
-				r.lastFailoverErr = fmt.Sprintf("%s: %v", dead, err)
-				r.healthMu.Unlock()
-			}
+			// A failed failover keeps the ring and records its error in
+			// lastFailoverErr; the next probe round tries again.
+			_ = r.Failover(dead)
 		}
 		select {
 		case <-r.proberStopCh:
@@ -172,8 +170,16 @@ func (r *Router) probeFails() int {
 // swaps the ring under the write lock — the same lock a reshard holds, so
 // traffic observes the cutover as a pause, never as disorder. After the
 // swap, a spare (when available) is retargeted at the promoted replica in
-// the background, restoring the follower topology.
-func (r *Router) Failover(dead string) error {
+// the background, restoring the follower topology. On any error the ring
+// is unchanged and the error is kept as /healthz's last_failover_err.
+func (r *Router) Failover(dead string) (err error) {
+	defer func() {
+		if err != nil {
+			r.healthMu.Lock()
+			r.lastFailoverErr = fmt.Sprintf("%s: %v", dead, err)
+			r.healthMu.Unlock()
+		}
+	}()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	inRing := false
@@ -194,11 +200,10 @@ func (r *Router) Failover(dead string) error {
 	// returns, the follower applies no more replicated records, so the
 	// writes the new ring routes to it cannot interleave with the tail of
 	// the old primary's stream. Blocking I/O under the write lock is the
-	// cutover seam the reshard protocol already established.
-	var out struct {
-		LastSeq int64 `json:"last_seq"`
-	}
-	status, err := r.postJSON(context.Background(), follower, "/replicate/promote", nil, &out, r.ctlOpts())
+	// cutover seam the reshard protocol already established. A follower
+	// stopped inside a bootstrap holds a partial store and answers 409: its
+	// arcs stay with the dead replica rather than lose states silently.
+	status, err := r.postJSON(context.Background(), follower, "/replicate/promote", nil, nil, r.ctlOpts())
 	if err != nil {
 		return fmt.Errorf("cluster: promoting %s: %w", follower, err)
 	}

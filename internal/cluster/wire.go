@@ -142,15 +142,11 @@ func (r *Router) serveWireConn(conn net.Conn, lane uint64) {
 	fw := wire.NewWriter(bufio.NewWriterSize(conn, 64<<10))
 	var wmu sync.Mutex
 
-	typ, p, err := wire.ReadFrame(br, nil)
-	if err != nil || wire.CheckHello(typ, p) != nil {
-		return
-	}
-	if err := fw.WriteHello(); err != nil || fw.Flush() != nil {
+	if wire.AcceptHello(br, fw) != nil {
 		return
 	}
 
-	buf := p[:cap(p)]
+	var buf []byte
 	var spl wire.Splicer
 	for {
 		typ, p, err := wire.ReadFrame(br, buf)

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/statestore"
+	"repro/internal/wire"
 )
 
 const (
@@ -42,6 +43,7 @@ type Follower struct {
 	primary       string
 	epoch         string
 	lastSeq       int64 // highest applied sequence number under epoch
+	bootOpen      bool  // an fBootStart wiped the store and no fBootEnd has closed it yet
 	conn          net.Conn
 	connected     bool
 	promoted      bool
@@ -120,11 +122,17 @@ func (f *Follower) Retarget(primary string) {
 	f.mu.Unlock()
 }
 
+// ErrBootstrapOpen reports a promotion that stopped the follower between
+// a bootstrap's start and its end: the store was wiped and only partly
+// re-imported, so it must not take the dead primary's keys.
+var ErrBootstrapOpen = errors.New("replication: promoted during an unfinished bootstrap; the store is partial")
+
 // Promote permanently stops replication so the local store can take
 // writes as a primary. It returns the last applied sequence number after
 // the apply loop has fully exited — once Promote returns, no replicated
-// record will land anymore.
-func (f *Follower) Promote() int64 {
+// record will land anymore — or ErrBootstrapOpen if the loop stopped
+// inside a bootstrap.
+func (f *Follower) Promote() (int64, error) {
 	f.mu.Lock()
 	f.promoted = true
 	if f.conn != nil {
@@ -135,7 +143,10 @@ func (f *Follower) Promote() int64 {
 	f.wg.Wait()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.lastSeq
+	if f.bootOpen {
+		return f.lastSeq, ErrBootstrapOpen
+	}
+	return f.lastSeq, nil
 }
 
 // Stop ends replication without promoting (shutdown path).
@@ -220,7 +231,7 @@ func (f *Follower) run() {
 		f.mu.Lock()
 		f.conn = nil
 		f.connected = false
-		if errors.Is(err, ErrFrameCorrupt) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, errFrameTooLarge) {
+		if errors.Is(err, wire.ErrFrameCorrupt) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, wire.ErrFrameTooLarge) {
 			// A corrupt or torn frame means the stream position cannot be
 			// trusted: resuming the tail at lastSeq+1 could re-apply or skip
 			// records. Dropping the epoch makes the next subscribe look
@@ -267,7 +278,7 @@ func (f *Follower) sleep(d time.Duration) bool {
 // consume applies one session's frames. It returns how many records it
 // applied (any progress resets the reconnect backoff).
 func (f *Follower) consume(r *bufio.Reader, w *bufio.Writer) (applied int64, err error) {
-	fw := &frameWriter{w: w}
+	fw := &frameWriter{Writer: wire.NewWriter(w)}
 	ack := func(seq int64) error {
 		if err := fw.writeSeq(fAck, seq); err != nil {
 			return err
@@ -278,7 +289,7 @@ func (f *Follower) consume(r *bufio.Reader, w *bufio.Writer) (applied int64, err
 	var bootEpoch string // the epoch a running bootstrap commits at fBootEnd
 	sinceAck := 0
 	for {
-		typ, payload, ferr := readFrame(r, buf)
+		typ, payload, ferr := wire.ReadFrame(r, buf)
 		if ferr != nil {
 			return applied, ferr
 		}
@@ -295,7 +306,7 @@ func (f *Follower) consume(r *bufio.Reader, w *bufio.Writer) (applied int64, err
 				// so it has no position under any epoch: a link that drops
 				// mid-bootstrap must re-bootstrap rather than resume a tail,
 				// and Status must not report the old position meanwhile.
-				f.epoch, f.lastSeq = "", 0
+				f.epoch, f.lastSeq, f.bootOpen = "", 0, true
 				bootEpoch = h.Epoch
 				f.bootstraps++
 			} else {
@@ -322,7 +333,7 @@ func (f *Follower) consume(r *bufio.Reader, w *bufio.Writer) (applied int64, err
 				return applied, perr
 			}
 			f.mu.Lock()
-			f.epoch, f.lastSeq = bootEpoch, from-1
+			f.epoch, f.lastSeq, f.bootOpen = bootEpoch, from-1, false
 			f.mu.Unlock()
 			applied++
 			if err := ack(from - 1); err != nil {
@@ -435,7 +446,7 @@ func dialSubscribe(primary, epoch string, seq int64) (net.Conn, *bufio.Reader, *
 			break
 		}
 	}
-	fw := &frameWriter{w: w}
+	fw := &frameWriter{Writer: wire.NewWriter(w)}
 	if err := fw.writeJSON(fSubscribe, subscribeReq{Epoch: epoch, Seq: seq}); err != nil {
 		conn.Close()
 		return nil, nil, nil, err

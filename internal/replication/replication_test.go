@@ -282,7 +282,10 @@ func TestPromoteStopsReplication(t *testing.T) {
 	f.Start()
 	waitCaughtUp(t, f, p)
 
-	last := f.Promote()
+	last, err := f.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st := f.Status(); !st.Promoted {
 		t.Fatal("status must report promoted")
 	}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/serving"
 	"repro/internal/statestore"
+	"repro/internal/wire"
 )
 
 const (
@@ -151,7 +152,7 @@ func (s *Source) Serve(conn net.Conn, rw *bufio.ReadWriter) error {
 	}
 	defer s.unregister(sub)
 
-	typ, payload, err := readFrame(rw.Reader, nil)
+	typ, payload, err := wire.ReadFrame(rw.Reader, nil)
 	if err != nil {
 		return err
 	}
@@ -181,7 +182,7 @@ func (s *Source) Serve(conn net.Conn, rw *bufio.ReadWriter) error {
 // longer than the buffer retains) restarts with a fresh bootstrap on the
 // same connection.
 func (s *Source) stream(w *bufio.Writer, sub *subscriber, req subscribeReq) error {
-	fw := &frameWriter{w: w}
+	fw := &frameWriter{Writer: wire.NewWriter(w)}
 	next := req.Seq
 	if req.Epoch != s.epoch {
 		// Positions from another incarnation (or none) are meaningless
@@ -293,7 +294,7 @@ func (s *Source) bootstrap(fw *frameWriter, arcs []Arc) (next int64, err error) 
 	if err := fw.writeSeq(fBootEnd, from); err != nil {
 		return 0, err
 	}
-	return from, fw.w.Flush()
+	return from, fw.Flush()
 }
 
 // readAcks drains follower frames, publishing ack positions. Any read
@@ -302,7 +303,7 @@ func (s *Source) readAcks(r *bufio.Reader, sub *subscriber) {
 	defer close(sub.done)
 	var buf []byte
 	for {
-		typ, payload, err := readFrame(r, buf)
+		typ, payload, err := wire.ReadFrame(r, buf)
 		if err != nil {
 			return
 		}

@@ -109,7 +109,9 @@ func (s *Server) handleReplicateFollow(w http.ResponseWriter, r *http.Request) {
 
 // handleReplicatePromote permanently stops replication on a follower so
 // its store can take writes as a primary. Once the response is written no
-// replicated record will land anymore.
+// replicated record will land anymore. A follower stopped inside a
+// bootstrap answers 409: its store is partial and must not take the dead
+// primary's keys.
 func (s *Server) handleReplicatePromote(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only")
@@ -119,6 +121,10 @@ func (s *Server) handleReplicatePromote(w http.ResponseWriter, r *http.Request) 
 		writeErr(w, http.StatusConflict, "not a follower (start with -follow or -replica-of)")
 		return
 	}
-	seq := s.opts.Follower.Promote()
+	seq, err := s.opts.Follower.Promote()
+	if err != nil {
+		writeErr(w, http.StatusConflict, err.Error())
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]int64{"last_seq": seq})
 }

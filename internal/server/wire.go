@@ -104,15 +104,11 @@ func (s *Server) serveWireConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	fw := wire.NewWriter(bufio.NewWriterSize(conn, 64<<10))
 
-	typ, p, err := wire.ReadFrame(br, nil)
-	if err != nil || wire.CheckHello(typ, p) != nil {
-		return
-	}
-	if err := fw.WriteHello(); err != nil || fw.Flush() != nil {
+	if wire.AcceptHello(br, fw) != nil {
 		return
 	}
 
-	buf := p[:cap(p)]
+	var buf []byte
 	var er wire.EventReader
 	var ev wire.Event
 	var cat []int // predict category scratch, reused across frames

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -96,9 +95,7 @@ func (c *Client) Close() {
 // error leaves delivery unknown; events are never retried here — the
 // caller owns that policy (the double-apply rule).
 func (c *Client) SendEvents(lane uint64, count int, events []byte) (Ack, error) {
-	var head [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(head[:], uint64(count))
-	r, err := c.lane(lane).roundTrip(FEvents, head[:n], events)
+	r, err := c.lane(lane).roundTrip(FEvents, count, events)
 	if err != nil {
 		return Ack{}, err
 	}
@@ -112,7 +109,7 @@ func (c *Client) SendEvents(lane uint64, count int, events []byte) (Ack, error) 
 func (c *Client) SendPredict(lane uint64, payload []byte, retries int) (PredictReply, error) {
 	cc := c.lane(lane)
 	for attempt := 0; ; attempt++ {
-		r, err := cc.roundTrip(FPredict, payload, nil)
+		r, err := cc.roundTrip(FPredict, 0, payload)
 		if err == nil {
 			return r.pr, nil
 		}
@@ -155,7 +152,9 @@ type clientConn struct {
 	window chan struct{}
 }
 
-func (cc *clientConn) roundTrip(typ byte, head, rest []byte) (reply, error) {
+// roundTrip sends one request and waits for its reply. An FEvents request
+// carries count events in payload; any other type sends payload as is.
+func (cc *clientConn) roundTrip(typ byte, count int, payload []byte) (reply, error) {
 	timer := time.NewTimer(cc.cl.opts.CallTimeout)
 	defer timer.Stop()
 
@@ -180,20 +179,10 @@ func (cc *clientConn) roundTrip(typ byte, head, rest []byte) (reply, error) {
 	cc.pendMu.Unlock()
 
 	cc.writeMu.Lock()
-	err = fw.Frame(typ, 8+len(head)+len(rest))
-	if err == nil {
-		var idb [8]byte
-		binary.LittleEndian.PutUint64(idb[:], id)
-		err = fw.Body(idb[:])
-	}
-	if err == nil {
-		err = fw.Body(head)
-	}
-	if err == nil && len(rest) > 0 {
-		err = fw.Body(rest)
-	}
-	if err == nil {
-		err = fw.Trailer()
+	if typ == FEvents {
+		err = fw.WriteEvents(id, count, payload)
+	} else {
+		err = fw.WriteRequest(typ, id, payload)
 	}
 	if err == nil {
 		err = fw.Flush()
@@ -271,7 +260,7 @@ func dial(addr string, timeout time.Duration) (net.Conn, *bufio.Reader, *Writer,
 
 	fw := NewWriter(bufio.NewWriterSize(conn, 32<<10))
 	br := bufio.NewReaderSize(conn, 32<<10)
-	if err := fw.WriteHello(); err == nil {
+	if err = fw.WriteHello(); err == nil {
 		err = fw.Flush()
 	}
 	if err != nil {

@@ -3,13 +3,13 @@
 // Over HTTP/JSON every router hop decodes JSON, re-marshals it, and pays
 // a fresh net/http request cycle, so a 3-replica router delivered less
 // throughput than a single replica. This package replaces that hop with
-// persistent connections carrying length-prefixed binary frames — the same
+// persistent connections carrying length-prefixed binary frames —
 // [1B type][4B little-endian payload length][payload][4B little-endian
-// CRC-32 (IEEE) over type+length+payload] layout the replication link
-// uses — so a router can forward an event batch by splicing byte ranges
-// instead of materializing structs. HTTP/JSON remains the contract for
-// everything cold: admin, statz, digest, reshard, flush, replication
-// control.
+// CRC-32 (IEEE) over type+length+payload], the codec both links use (the
+// replication link frames its own types through Writer and ReadFrame) —
+// so a router can forward an event batch by splicing byte ranges instead
+// of materializing structs. HTTP/JSON remains the contract for everything
+// cold: admin, statz, digest, reshard, flush, replication control.
 //
 // An event batch is a varint count followed by that many self-delimiting
 // events. Every event — access as well as start — carries its user ID, so
@@ -86,13 +86,18 @@ const (
 	flagDegraded   byte = 1 << 1
 )
 
-// MaxFramePayload bounds a frame so a corrupt length prefix cannot ask
-// either side to allocate unbounded memory. It is comfortably above the
-// HTTP body limit (8 MiB) so any batch the JSON path accepts fits.
+// MaxFramePayload bounds a frame on both links so a corrupt length prefix
+// cannot ask either side to allocate unbounded memory. It is comfortably
+// above the HTTP body limit (8 MiB) so any batch the JSON path accepts
+// fits. A replication frame carries one record, one bootstrap entry, one
+// sequence number or a small JSON payload — a state is a few hundred
+// bytes — so none comes near it.
 const MaxFramePayload = 16 << 20
 
 var (
-	errFrameTooLarge = errors.New("wire: frame exceeds size limit")
+	// ErrFrameTooLarge reports a length prefix above MaxFramePayload: like
+	// a CRC mismatch, it means the stream cannot be trusted.
+	ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 
 	// ErrFrameCorrupt reports a frame whose CRC trailer does not match
 	// its bytes. The stream position cannot be trusted past this point,
@@ -189,7 +194,7 @@ func ReadFrame(r *bufio.Reader, buf []byte) (typ byte, payload []byte, err error
 	}
 	n := binary.LittleEndian.Uint32(hdr[1:])
 	if n > MaxFramePayload {
-		return 0, nil, errFrameTooLarge
+		return 0, nil, ErrFrameTooLarge
 	}
 	if int(n) > cap(buf) {
 		buf = make([]byte, n)
@@ -219,6 +224,22 @@ func CheckHello(typ byte, payload []byte) error {
 		return fmt.Errorf("%w: peer speaks %d, this side %d", ErrVersionMismatch, payload[0], Version)
 	}
 	return nil
+}
+
+// AcceptHello runs the accepting side of the version handshake: it reads
+// the peer's hello, answers with this side's and flushes.
+func AcceptHello(br *bufio.Reader, fw *Writer) error {
+	typ, p, err := ReadFrame(br, nil)
+	if err != nil {
+		return err
+	}
+	if err := CheckHello(typ, p); err != nil {
+		return err
+	}
+	if err := fw.WriteHello(); err != nil {
+		return err
+	}
+	return fw.Flush()
 }
 
 // AppendStart appends one encoded session-start event.
