@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"testing"
+	"testing/iotest"
 )
 
 // buildBatch encodes a canonical event batch: [uvarint count][events].
@@ -435,4 +436,84 @@ func frameStreamFuzzSeed() ([]byte, []byte, error) {
 		err = e
 	}
 	return buf.Bytes(), batch, err
+}
+
+// readFrameCutErr is the error ReadFrame must return when a stream ends
+// (io.EOF) or fails (any other error) after `off` bytes of a frame whose
+// payload is n bytes long. A clean end at the header, payload-start or
+// trailer-start boundary is io.EOF; an end inside the header, the payload
+// or the trailer is io.ErrUnexpectedEOF. The follower's re-bootstrap rule
+// and the router's error taxonomy both branch on that distinction. A
+// non-EOF transport error passes through as is at every offset.
+func readFrameCutErr(off, n int, cause error) error {
+	if cause != io.EOF {
+		return cause
+	}
+	switch {
+	case off == 0, off == 5, off == 5+n:
+		return io.EOF
+	default:
+		return io.ErrUnexpectedEOF
+	}
+}
+
+// TestReadFrameErrorAtEveryCut truncates a frame stream — including a
+// zero-length frame, whose payload-start and trailer-start boundaries
+// coincide — at every byte, and asserts the exact error value ReadFrame
+// returns there, for a clean EOF, for a transport error, and for a source
+// that delivers one byte per read.
+func TestReadFrameErrorAtEveryCut(t *testing.T) {
+	raw, _, frames := frameStream(t)
+	var extra bytes.Buffer
+	fw := NewWriter(bufio.NewWriter(&extra))
+	if err := fw.Frame(FAck, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Trailer(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	raw = append(raw, extra.Bytes()...)
+	frames = append(frames, [2][]byte{{FAck}, nil})
+
+	boom := errors.New("connection reset")
+	sources := []struct {
+		name  string
+		cause error
+		src   func(b []byte) io.Reader
+	}{
+		{"eof", io.EOF, func(b []byte) io.Reader { return bytes.NewReader(b) }},
+		{"one-byte", io.EOF, func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
+		{"transport-error", boom, func(b []byte) io.Reader {
+			return io.MultiReader(bytes.NewReader(b), iotest.ErrReader(boom))
+		}},
+	}
+	for _, s := range sources {
+		for cut := 0; cut <= len(raw); cut++ {
+			br := bufio.NewReader(s.src(raw[:cut]))
+			var buf []byte
+			start := 0
+			var err error
+			k := 0
+			for ; ; k++ {
+				var p []byte
+				_, p, err = ReadFrame(br, buf)
+				if err != nil {
+					break
+				}
+				buf = p[:cap(p)]
+				start += 5 + len(p) + 4
+			}
+			n := 0
+			if k < len(frames) {
+				n = len(frames[k][1])
+			}
+			if want := readFrameCutErr(cut-start, n, s.cause); err != want {
+				t.Fatalf("%s: cut %d (offset %d of frame %d, payload %d): got %v, want %v",
+					s.name, cut, cut-start, k, n, err, want)
+			}
+		}
+	}
 }
