@@ -129,6 +129,19 @@ func (r *Router) wireClientFor(base string) *wire.Client {
 	return cl
 }
 
+// wireInbound is one inbound connection's reply writer and the fan-out
+// scratch its serving goroutine reuses from one event frame to the next.
+type wireInbound struct {
+	fw   *wire.Writer
+	wmu  sync.Mutex // serializes acks with the out-of-band predict replies
+	lane uint64
+
+	spl wire.Splicer
+	// results collects the owners' acks for one event frame. It holds one
+	// slot per replica and is re-made only when a reshard grows the ring.
+	results chan wireEventResult
+}
+
 // serveWireConn runs one inbound connection. Event frames are handled
 // synchronously — splice, forward, collect acks, reply — which is the
 // ordering barrier; predicts are answered out of band so a slow owner
@@ -139,15 +152,13 @@ func (r *Router) serveWireConn(conn net.Conn, lane uint64) {
 	defer predictWG.Wait()
 
 	br := bufio.NewReaderSize(conn, 64<<10)
-	fw := wire.NewWriter(bufio.NewWriterSize(conn, 64<<10))
-	var wmu sync.Mutex
+	in := &wireInbound{fw: wire.NewWriter(bufio.NewWriterSize(conn, 64<<10)), lane: lane}
 
-	if wire.AcceptHello(br, fw) != nil {
+	if wire.AcceptHello(br, in.fw) != nil {
 		return
 	}
 
 	var buf []byte
-	var spl wire.Splicer
 	for {
 		typ, p, err := wire.ReadFrame(br, buf)
 		if err != nil {
@@ -160,7 +171,7 @@ func (r *Router) serveWireConn(conn net.Conn, lane uint64) {
 		reqID := binary.LittleEndian.Uint64(p)
 		switch typ {
 		case wire.FEvents:
-			if !r.routeWireEvents(fw, &wmu, &spl, lane, reqID, p[8:]) {
+			if !r.routeWireEvents(in, reqID, p[8:]) {
 				return
 			}
 		case wire.FPredict:
@@ -170,7 +181,7 @@ func (r *Router) serveWireConn(conn net.Conn, lane uint64) {
 			predictWG.Add(1)
 			go func() {
 				defer predictWG.Done()
-				r.routeWirePredict(fw, &wmu, lane, reqID, payload)
+				r.routeWirePredict(in, reqID, payload)
 			}()
 		default:
 			return
@@ -200,57 +211,69 @@ func statusRank(s byte) int {
 }
 
 // routeWireEvents splices one inbound batch by ring owner and forwards
-// the sub-batches concurrently, answering with the worst ack. Returns
-// false when the connection must drop (malformed batch — the stream
-// cannot be trusted). Forwarding happens under mu.RLock for the same
-// reason as the HTTP handler: a reshard cannot swap the ring while a
-// batch split by the old ring is still landing.
-func (r *Router) routeWireEvents(fw *wire.Writer, wmu *sync.Mutex, spl *wire.Splicer, lane uint64, reqID uint64, batch []byte) bool {
+// the sub-batches concurrently, answering with the worst ack. The first
+// owner's sub-batch is forwarded on the connection's own goroutine, each
+// other one on a goroutine of its own. Returns false when the connection
+// must drop (malformed batch — the stream cannot be trusted). Forwarding
+// happens under mu.RLock for the same reason as the HTTP handler: a
+// reshard cannot swap the ring while a batch split by the old ring is
+// still landing.
+func (r *Router) routeWireEvents(in *wireInbound, reqID uint64, batch []byte) bool {
 	r.mu.RLock()
 	ring := r.ring
+	spl := &in.spl
 	spl.Reset(ring.NumReplicas())
 	if err := spl.Split(batch, ring); err != nil {
 		r.mu.RUnlock()
 		return false
 	}
-	owners := 0
-	for i := 0; i < spl.Owners(); i++ {
-		if n, _ := spl.Batch(i); n > 0 {
-			owners++
-		}
+	if cap(in.results) < spl.Owners() {
+		in.results = make(chan wireEventResult, spl.Owners())
 	}
-	results := make(chan wireEventResult, owners)
+	results := in.results
+	first, others := -1, 0
 	for i := 0; i < spl.Owners(); i++ {
 		n, events := spl.Batch(i)
 		if n == 0 {
 			continue
 		}
+		if first < 0 {
+			first = i
+			continue
+		}
+		others++
 		go func(base string, n int, events []byte) {
-			results <- r.sendWireEvents(base, lane, n, events)
+			results <- r.sendWireEvents(base, in.lane, n, events)
 		}(ring.Replica(i), n, events)
 	}
 	worst := wireEventResult{status: wire.StatusOK}
 	accepted := 0
-	for i := 0; i < owners; i++ {
-		// Collecting under RLock is the drain barrier (see above); the
-		// splicer's buffers also stay untouched until every goroutine
-		// reading them has answered.
-		res := <-results //pplint:allow lockcheck
+	merge := func(res wireEventResult) {
 		accepted += res.accepted
 		if statusRank(res.status) > statusRank(worst.status) {
 			worst = res
 		}
 	}
+	if first >= 0 {
+		n, events := spl.Batch(first)
+		merge(r.sendWireEvents(ring.Replica(first), in.lane, n, events))
+	}
+	for i := 0; i < others; i++ {
+		// Collecting under RLock is the drain barrier (see above); the
+		// splicer's buffers also stay untouched until every goroutine
+		// reading them has answered.
+		merge(<-results) //pplint:allow lockcheck
+	}
 	r.mu.RUnlock()
 	if worst.status != wire.StatusOK {
 		accepted = 0
 	}
-	wmu.Lock()
-	err := fw.WriteAck(reqID, worst.status, accepted, worst.msg)
+	in.wmu.Lock()
+	err := in.fw.WriteAck(reqID, worst.status, accepted, worst.msg)
 	if err == nil {
-		err = fw.Flush()
+		err = in.fw.Flush()
 	}
-	wmu.Unlock()
+	in.wmu.Unlock()
 	return err == nil
 }
 
@@ -341,10 +364,11 @@ func statusFromHTTP(code int) byte {
 // HTTP otherwise — and degrades to the other replicas when the owner
 // cannot answer, exactly like the HTTP handler: the fallback's cold-start
 // prior beats an error page.
-func (r *Router) routeWirePredict(fw *wire.Writer, wmu *sync.Mutex, lane uint64, reqID uint64, payload []byte) {
+func (r *Router) routeWirePredict(in *wireInbound, reqID uint64, payload []byte) {
+	lane := in.lane
 	user, err := wire.PredictUser(payload)
 	if err != nil {
-		r.writeWireReply(fw, wmu, reqID, wire.PredictReply{Status: wire.StatusBadRequest, Msg: "decoding predict: " + err.Error()})
+		r.writeWireReply(in, reqID, wire.PredictReply{Status: wire.StatusBadRequest, Msg: "decoding predict: " + err.Error()})
 		return
 	}
 	r.mu.RLock()
@@ -370,19 +394,19 @@ func (r *Router) routeWirePredict(fw *wire.Writer, wmu *sync.Mutex, lane uint64,
 	if err != nil {
 		reply = wire.PredictReply{Status: wire.StatusError, Msg: "forwarding predict: " + err.Error()}
 	}
-	r.writeWireReply(fw, wmu, reqID, reply)
+	r.writeWireReply(in, reqID, reply)
 }
 
-func (r *Router) writeWireReply(fw *wire.Writer, wmu *sync.Mutex, reqID uint64, reply wire.PredictReply) {
-	wmu.Lock()
-	defer wmu.Unlock()
+func (r *Router) writeWireReply(in *wireInbound, reqID uint64, reply wire.PredictReply) {
+	in.wmu.Lock()
+	defer in.wmu.Unlock()
 	// A failed write means the inbound connection died; its read loop
 	// notices and tears the connection down, so the error needs no
 	// further handling here.
-	if err := fw.WritePredictReply(reqID, reply); err != nil {
+	if err := in.fw.WritePredictReply(reqID, reply); err != nil {
 		return
 	}
-	if err := fw.Flush(); err != nil {
+	if err := in.fw.Flush(); err != nil {
 		return
 	}
 }

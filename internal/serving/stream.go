@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"container/heap"
 	"strconv"
 
 	"repro/internal/core"
@@ -21,18 +20,51 @@ type timerEntry struct {
 	sessionID string
 }
 
+// timerHeap is a binary min-heap on fireAt. push and pop run exactly
+// container/heap's Push/up and Pop/down sift steps, so sessions that fire
+// at the same instant drain in the same order as they would through
+// container/heap (TestTimerHeapMatchesContainerHeap) — but without boxing
+// every entry into an interface, which cost two allocations per session.
 type timerHeap []timerEntry
 
-func (h timerHeap) Len() int           { return len(h) }
-func (h timerHeap) Less(i, j int) bool { return h[i].fireAt < h[j].fireAt }
-func (h timerHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)        { *h = append(*h, x.(timerEntry)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// push adds e and sifts it up.
+func (h *timerHeap) push(e timerEntry) {
+	*h = append(*h, e)
+	q := *h
+	j := len(q) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || q[j].fireAt >= q[i].fireAt {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+// pop removes and returns the entry with the smallest fireAt.
+func (h *timerHeap) pop() timerEntry {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].fireAt < q[j].fireAt {
+			j = j2
+		}
+		if q[j].fireAt >= q[i].fireAt {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	e := q[n]
+	q[n] = timerEntry{} // release the session ID
+	*h = q[:n]
+	return e
 }
 
 // StreamProcessor consumes session-start and access events (the Kafka
@@ -145,7 +177,7 @@ func UserKeyHash(userID int) uint32 {
 // group is finalised inline before Advance returns.
 func (p *StreamProcessor) Advance(ts int64) {
 	for len(p.timers) > 0 && p.timers[0].fireAt <= ts {
-		e := heap.Pop(&p.timers).(timerEntry)
+		e := p.timers.pop()
 		p.now = e.fireAt
 		buf, ok := p.buffers[e.sessionID]
 		if !ok {
@@ -177,7 +209,7 @@ func (p *StreamProcessor) OnSessionStart(sessionID string, userID int, ts int64,
 		Start:  ts,
 		Cat:    append([]int(nil), cat...),
 	}
-	heap.Push(&p.timers, timerEntry{
+	p.timers.push(timerEntry{
 		fireAt:    ts + p.model.Schema.SessionLength + p.Epsilon,
 		sessionID: sessionID,
 	})

@@ -75,7 +75,7 @@ func NewClient(addr string, opts ClientOptions) *Client {
 		c.conns[i] = &clientConn{
 			cl:      c,
 			window:  make(chan struct{}, opts.Window),
-			pending: map[uint64]chan reply{},
+			pending: map[uint64]*call{},
 		}
 	}
 	return c
@@ -131,6 +131,17 @@ type reply struct {
 	err error
 }
 
+// call is one request's reply slot: the channel its reply is delivered
+// on and the timer bounding its wait. Slots are pooled per connection so
+// a steady-state round trip allocates neither. A slot goes back to the
+// pool only when nothing can still send into its channel — its one reply
+// was received, or it was never registered — so a recycled slot can never
+// receive a late reply meant for an earlier call.
+type call struct {
+	ch    chan reply
+	timer *time.Timer
+}
+
 // clientConn is one pooled connection. Locks are leaf-ordered and never
 // held across blocking I/O: mu guards (re)dial state swaps, writeMu
 // serializes frame writes, pendMu guards the correlation map. Dialing,
@@ -146,36 +157,54 @@ type clientConn struct {
 	writeMu sync.Mutex // serializes frame write + flush
 
 	pendMu  sync.Mutex
-	pending map[uint64]chan reply
+	pending map[uint64]*call
 
+	calls  sync.Pool // of *call
 	nextID atomic.Uint64
 	window chan struct{}
+}
+
+// getCall takes a reply slot from the pool, its timer armed for one call
+// timeout. Since Go 1.23 Reset discards a fire that was not received, so
+// a recycled timer cannot deliver a stale one.
+func (cc *clientConn) getCall() *call {
+	if c, ok := cc.calls.Get().(*call); ok {
+		c.timer.Reset(cc.cl.opts.CallTimeout)
+		return c
+	}
+	return &call{ch: make(chan reply, 1), timer: time.NewTimer(cc.cl.opts.CallTimeout)}
+}
+
+// putCall recycles a slot nothing can send into any more.
+func (cc *clientConn) putCall(c *call) {
+	c.timer.Stop()
+	cc.calls.Put(c)
 }
 
 // roundTrip sends one request and waits for its reply. An FEvents request
 // carries count events in payload; any other type sends payload as is.
 func (cc *clientConn) roundTrip(typ byte, count int, payload []byte) (reply, error) {
-	timer := time.NewTimer(cc.cl.opts.CallTimeout)
-	defer timer.Stop()
+	c := cc.getCall()
 
 	// One window slot per request bounds pipelining depth and applies
 	// backpressure before the write, sharing the call's timeout budget.
 	select {
 	case cc.window <- struct{}{}:
-	case <-timer.C:
+	case <-c.timer.C:
+		cc.putCall(c) // never registered
 		return reply{}, fmt.Errorf("%w: no window slot to %s", ErrCallTimeout, cc.cl.addr)
 	}
 	defer func() { <-cc.window }()
 
 	fw, gen, err := cc.ensure()
 	if err != nil {
+		cc.putCall(c)
 		return reply{}, err
 	}
 
 	id := cc.nextID.Add(1)
-	ch := make(chan reply, 1)
 	cc.pendMu.Lock()
-	cc.pending[id] = ch
+	cc.pending[id] = c
 	cc.pendMu.Unlock()
 
 	cc.writeMu.Lock()
@@ -189,16 +218,20 @@ func (cc *clientConn) roundTrip(typ byte, count int, payload []byte) (reply, err
 	}
 	cc.writeMu.Unlock()
 	if err != nil {
+		// fail may already have taken the slot and be sending into it:
+		// drop it rather than recycle it.
 		cc.unregister(id)
 		cc.fail(gen, err)
 		return reply{}, fmt.Errorf("wire: write to %s: %w", cc.cl.addr, err)
 	}
 
 	select {
-	case r := <-ch:
+	case r := <-c.ch:
+		cc.putCall(c)
 		return r, r.err
-	case <-timer.C:
-		// The reply may still arrive; the reader drops unknown IDs.
+	case <-c.timer.C:
+		// The reply may still arrive, and the reader may already hold
+		// the slot, so it is dropped; the reader drops unknown IDs.
 		cc.unregister(id)
 		return reply{}, fmt.Errorf("%w waiting on %s", ErrCallTimeout, cc.cl.addr)
 	}
@@ -304,11 +337,11 @@ func (cc *clientConn) readLoop(br *bufio.Reader, gen uint64) {
 			return
 		}
 		cc.pendMu.Lock()
-		ch := cc.pending[id]
+		c := cc.pending[id]
 		delete(cc.pending, id)
 		cc.pendMu.Unlock()
-		if ch != nil {
-			ch <- r // buffered(1), sole sender after delete — never blocks
+		if c != nil {
+			c.ch <- r // buffered(1), sole sender after delete — never blocks
 		}
 	}
 }
@@ -334,14 +367,14 @@ func (cc *clientConn) fail(gen uint64, cause error) {
 	conn.Close()
 
 	cc.pendMu.Lock()
-	chans := make([]chan reply, 0, len(cc.pending))
-	for id, ch := range cc.pending {
+	calls := make([]*call, 0, len(cc.pending))
+	for id, c := range cc.pending {
 		delete(cc.pending, id)
-		chans = append(chans, ch)
+		calls = append(calls, c)
 	}
 	cc.pendMu.Unlock()
 	err := fmt.Errorf("wire: connection to %s lost: %w", cc.cl.addr, cause)
-	for _, ch := range chans {
-		ch <- reply{err: err}
+	for _, c := range calls {
+		c.ch <- reply{err: err}
 	}
 }

@@ -116,13 +116,24 @@ var (
 
 var crcTable = crc32.IEEETable
 
+// prefixLen bounds the fixed fields a Writer method puts before a
+// variable-length tail: WriteAck's [8B reqID][1B status][uvarint
+// accepted] is the longest.
+const prefixLen = 8 + 1 + binary.MaxVarintLen64
+
 // Writer frames outbound messages onto one buffered writer, keeping a
 // running CRC from the frame header through the payload so the trailer
-// costs no extra pass over the bytes. Callers serialize access and decide
-// when to Flush.
+// costs no extra pass over the bytes. The header, trailer and request
+// prefix are assembled in scratch arrays held by the Writer itself, so
+// framing a message allocates nothing: a stack array handed to the
+// buffered writer or to crc32 would escape on every frame. Callers
+// serialize access and decide when to Flush.
 type Writer struct {
 	w   *bufio.Writer
 	crc uint32
+	hdr [5]byte
+	trl [4]byte
+	pre [prefixLen]byte
 }
 
 // NewWriter wraps a buffered writer.
@@ -130,11 +141,10 @@ func NewWriter(w *bufio.Writer) *Writer { return &Writer{w: w} }
 
 // Frame starts a frame of the given type and payload length.
 func (fw *Writer) Frame(typ byte, payloadLen int) error {
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(payloadLen))
-	fw.crc = crc32.Update(0, crcTable, hdr[:])
-	_, err := fw.w.Write(hdr[:])
+	fw.hdr[0] = typ
+	binary.LittleEndian.PutUint32(fw.hdr[1:], uint32(payloadLen))
+	fw.crc = crc32.Update(0, crcTable, fw.hdr[:])
+	_, err := fw.w.Write(fw.hdr[:])
 	return err
 }
 
@@ -147,52 +157,63 @@ func (fw *Writer) Body(p []byte) error {
 
 // Trailer closes the frame with the accumulated CRC.
 func (fw *Writer) Trailer() error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], fw.crc)
-	_, err := fw.w.Write(b[:])
+	binary.LittleEndian.PutUint32(fw.trl[:], fw.crc)
+	_, err := fw.w.Write(fw.trl[:])
 	return err
 }
 
 // Flush flushes the underlying buffered writer.
 func (fw *Writer) Flush() error { return fw.w.Flush() }
 
-// WriteRequest frames [8B reqID][rest] under typ.
-func (fw *Writer) WriteRequest(typ byte, reqID uint64, rest []byte) error {
-	if err := fw.Frame(typ, 8+len(rest)); err != nil {
+// writePrefixed frames the first n bytes of fw.pre followed by tail.
+func (fw *Writer) writePrefixed(typ byte, n int, tail []byte) error {
+	if err := fw.Frame(typ, n+len(tail)); err != nil {
 		return err
 	}
-	var id [8]byte
-	binary.LittleEndian.PutUint64(id[:], reqID)
-	if err := fw.Body(id[:]); err != nil {
+	if err := fw.Body(fw.pre[:n]); err != nil {
 		return err
 	}
-	if err := fw.Body(rest); err != nil {
-		return err
+	if len(tail) > 0 {
+		if err := fw.Body(tail); err != nil {
+			return err
+		}
 	}
 	return fw.Trailer()
+}
+
+// WriteRequest frames [8B reqID][rest] under typ.
+func (fw *Writer) WriteRequest(typ byte, reqID uint64, rest []byte) error {
+	binary.LittleEndian.PutUint64(fw.pre[:8], reqID)
+	return fw.writePrefixed(typ, 8, rest)
 }
 
 // WriteHello frames the version handshake.
 func (fw *Writer) WriteHello() error {
-	if err := fw.Frame(FHello, 1); err != nil {
-		return err
-	}
-	if err := fw.Body([]byte{Version}); err != nil {
-		return err
-	}
-	return fw.Trailer()
+	fw.pre[0] = Version
+	return fw.writePrefixed(FHello, 1, nil)
 }
 
-// ReadFrame reads one frame, reusing buf when it is large enough, and
-// verifies the CRC trailer before handing the payload back. The payload
-// aliases (a possibly regrown) buf; callers keep `buf = payload[:cap(payload)]`
-// across calls to amortize the allocation.
+// ReadFrame reads one frame and verifies its CRC trailer before handing
+// the payload back. The header and trailer are read in place from r's
+// buffer (Peek, then Discard), so a frame whose payload fits buf costs no
+// allocation. The payload aliases buf, regrown when the frame is larger
+// than cap(buf); callers keep `buf = payload[:cap(payload)]` across calls
+// to amortize that growth, and must not retain the payload past the next
+// call that reuses buf.
+//
+// A stream that ends cleanly at a frame boundary, at the start of the
+// payload or at the start of the trailer returns io.EOF; one that ends
+// inside the header, the payload or the trailer returns
+// io.ErrUnexpectedEOF (TestReadFrameErrorAtEveryCut pins both).
 func ReadFrame(r *bufio.Reader, buf []byte) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := peekFull(r, 5)
+	if err != nil {
 		return 0, nil, err
 	}
+	typ = hdr[0]
 	n := binary.LittleEndian.Uint32(hdr[1:])
+	crc := crc32.Update(0, crcTable, hdr)
+	r.Discard(5)
 	if n > MaxFramePayload {
 		return 0, nil, ErrFrameTooLarge
 	}
@@ -203,16 +224,32 @@ func ReadFrame(r *bufio.Reader, buf []byte) (typ byte, payload []byte, err error
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, err
 	}
-	var tb [4]byte
-	if _, err := io.ReadFull(r, tb[:]); err != nil {
+	crc = crc32.Update(crc, crcTable, buf)
+	tb, err := peekFull(r, 4)
+	if err != nil {
 		return 0, nil, err
 	}
-	crc := crc32.Update(0, crcTable, hdr[:])
-	crc = crc32.Update(crc, crcTable, buf)
-	if binary.LittleEndian.Uint32(tb[:]) != crc {
-		return 0, nil, fmt.Errorf("%w (type %d, %d bytes)", ErrFrameCorrupt, hdr[0], n)
+	sum := binary.LittleEndian.Uint32(tb)
+	r.Discard(4)
+	if sum != crc {
+		return 0, nil, fmt.Errorf("%w (type %d, %d bytes)", ErrFrameCorrupt, typ, n)
 	}
-	return hdr[0], buf, nil
+	return typ, buf, nil
+}
+
+// peekFull returns the next n bytes of r without consuming them, with
+// io.ReadFull's error contract: io.EOF when the stream ends before the
+// first byte, io.ErrUnexpectedEOF when it ends after some but not all.
+// n must not exceed r's buffer size (16 bytes at least).
+func peekFull(r *bufio.Reader, n int) ([]byte, error) {
+	b, err := r.Peek(n)
+	if len(b) == n {
+		return b, nil
+	}
+	if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return nil, err
 }
 
 // CheckHello validates a handshake frame read by ReadFrame.
@@ -487,22 +524,14 @@ type Ack struct {
 
 // WriteAck frames an event-batch acknowledgement.
 func (fw *Writer) WriteAck(reqID uint64, status byte, accepted int, msg string) error {
-	var b [8 + 1 + binary.MaxVarintLen64]byte
-	binary.LittleEndian.PutUint64(b[:8], reqID)
-	b[8] = status
-	n := 9 + binary.PutUvarint(b[9:], uint64(accepted))
-	if err := fw.Frame(FAck, n+len(msg)); err != nil {
-		return err
-	}
-	if err := fw.Body(b[:n]); err != nil {
-		return err
-	}
+	binary.LittleEndian.PutUint64(fw.pre[:8], reqID)
+	fw.pre[8] = status
+	n := 9 + binary.PutUvarint(fw.pre[9:], uint64(accepted))
+	var tail []byte
 	if len(msg) > 0 {
-		if err := fw.Body([]byte(msg)); err != nil {
-			return err
-		}
+		tail = []byte(msg)
 	}
-	return fw.Trailer()
+	return fw.writePrefixed(FAck, n, tail)
 }
 
 // ParseAck decodes an FAck payload.
@@ -534,9 +563,10 @@ type PredictReply struct {
 
 // WritePredictReply frames a predict answer.
 func (fw *Writer) WritePredictReply(reqID uint64, pr PredictReply) error {
-	var b [18]byte
+	b := fw.pre[:18]
 	binary.LittleEndian.PutUint64(b[:8], reqID)
 	b[8] = pr.Status
+	b[9] = 0
 	if pr.Precompute {
 		b[9] |= flagPrecompute
 	}
@@ -544,18 +574,11 @@ func (fw *Writer) WritePredictReply(reqID uint64, pr PredictReply) error {
 		b[9] |= flagDegraded
 	}
 	binary.LittleEndian.PutUint64(b[10:], math.Float64bits(pr.Probability))
-	if err := fw.Frame(FPredictReply, len(b)+len(pr.Msg)); err != nil {
-		return err
-	}
-	if err := fw.Body(b[:]); err != nil {
-		return err
-	}
+	var tail []byte
 	if len(pr.Msg) > 0 {
-		if err := fw.Body([]byte(pr.Msg)); err != nil {
-			return err
-		}
+		tail = []byte(pr.Msg)
 	}
-	return fw.Trailer()
+	return fw.writePrefixed(FPredictReply, len(b), tail)
 }
 
 // ParsePredictReply decodes an FPredictReply payload.

@@ -88,17 +88,7 @@ func (s *Splicer) Batch(i int) (count int, events []byte) {
 // WriteEvents frames an event batch from its parts:
 // [8B reqID][uvarint count][events].
 func (fw *Writer) WriteEvents(reqID uint64, count int, events []byte) error {
-	var b [8 + binary.MaxVarintLen64]byte
-	binary.LittleEndian.PutUint64(b[:8], reqID)
-	n := 8 + binary.PutUvarint(b[8:], uint64(count))
-	if err := fw.Frame(FEvents, n+len(events)); err != nil {
-		return err
-	}
-	if err := fw.Body(b[:n]); err != nil {
-		return err
-	}
-	if err := fw.Body(events); err != nil {
-		return err
-	}
-	return fw.Trailer()
+	binary.LittleEndian.PutUint64(fw.pre[:8], reqID)
+	n := 8 + binary.PutUvarint(fw.pre[8:], uint64(count))
+	return fw.writePrefixed(FEvents, n, events)
 }
