@@ -213,7 +213,7 @@ func ReadFrame(r *bufio.Reader, buf []byte) (typ byte, payload []byte, err error
 	typ = hdr[0]
 	n := binary.LittleEndian.Uint32(hdr[1:])
 	crc := crc32.Update(0, crcTable, hdr)
-	r.Discard(5)
+	r.Discard(5) // cannot fail: the bytes are buffered
 	if n > MaxFramePayload {
 		return 0, nil, ErrFrameTooLarge
 	}
@@ -230,7 +230,7 @@ func ReadFrame(r *bufio.Reader, buf []byte) (typ byte, payload []byte, err error
 		return 0, nil, err
 	}
 	sum := binary.LittleEndian.Uint32(tb)
-	r.Discard(4)
+	r.Discard(4) // cannot fail: the bytes are buffered
 	if sum != crc {
 		return 0, nil, fmt.Errorf("%w (type %d, %d bytes)", ErrFrameCorrupt, typ, n)
 	}
