@@ -1,8 +1,11 @@
-// Command ppload is the load generator for ppserve's online server mode:
-// it replays an event log over the HTTP API — closed-loop (a fixed pool of
-// connections, each waiting for its responses) or open-loop (a target
-// session rate) — interleaves predict requests, and reports throughput and
-// latency histograms.
+// Command ppload is the load generator for ppserve's online server mode
+// and for pprouter: a command-line driver over internal/loadgen's
+// RunLoad. It replays an event log over the HTTP API — closed-loop (a
+// fixed pool of connections, each waiting for its responses) or open-loop
+// (a target session rate) — interleaves predict requests, and reports
+// throughput and latency histograms. With -retry N a failed event post
+// (transport error or 5xx) is re-sent in place up to N times; a shed
+// (429) post never is.
 //
 // The log is either regenerated deterministically from the same cohort
 // flags ppserve trains on (-users/-seed, which is what makes the parity
@@ -36,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/loadgen"
 	"repro/internal/server"
 )
 
@@ -59,7 +63,6 @@ func main() {
 		userLo        = flag.Int("user-lo", -1, "replay only users with ID >= this (-1 = no lower bound); phased replays over disjoint ranges compose because the digest is additive over users")
 		userHi        = flag.Int("user-hi", -1, "replay only users with ID <= this (-1 = no upper bound)")
 		retry         = flag.Int("retry", 0, "re-send a failed (transport error or 5xx) event post up to this many times in place before advancing — preserves per-user order, so digest parity survives transient cluster faults")
-		retryBackoff  = flag.Duration("retry-backoff", 50*time.Millisecond, "pause between event-post retries")
 	)
 	flag.Parse()
 
@@ -76,7 +79,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var log []server.ReplayEvent
+	var log []loadgen.ReplayEvent
 	if *data != "" {
 		f, err := os.Open(*data)
 		if err != nil {
@@ -87,10 +90,10 @@ func main() {
 		if err != nil {
 			fail("reading %s: %v", *data, err)
 		}
-		log = server.LogFromDataset(d)
+		log = loadgen.LogFromDataset(d)
 		fmt.Printf("replaying %s: %d sessions for %d users\n", *data, len(log), len(d.Users))
 	} else {
-		log = server.ReplayLog(*users, *seed)
+		log = loadgen.ReplayLog(*users, *seed)
 		fmt.Printf("replaying regenerated cohort (users=%d seed=%d): %d sessions\n", *users, *seed, len(log))
 	}
 
@@ -106,11 +109,11 @@ func main() {
 		fmt.Printf("user range [%d, %d]: %d sessions kept\n", *userLo, *userHi, len(log))
 	}
 
-	if err := server.WaitHealthy(*addr, *waitHealthy); err != nil {
+	if err := loadgen.WaitHealthy(*addr, *waitHealthy); err != nil {
 		fail("%v", err)
 	}
 
-	opts := server.LoadOptions{
+	opts := loadgen.LoadOptions{
 		BaseURL:       *addr,
 		Concurrency:   *concurrency,
 		EventsPerPost: *eventsPerPost,
@@ -118,13 +121,12 @@ func main() {
 		RatePerSec:    *rate,
 		Flush:         *doFlush,
 		RetryFailed:   *retry,
-		RetryBackoff:  *retryBackoff,
 		WireAddr:      *wireAddr,
 	}
 	if *wireAddr != "" {
 		fmt.Printf("hot path over wire protocol at %s\n", *wireAddr)
 	}
-	rep, err := server.RunLoad(opts, log)
+	rep, err := loadgen.RunLoad(opts, log)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -136,7 +138,7 @@ func main() {
 		fmt.Printf("resilience: %d event-post retries, %d degraded predicts (answered by a non-owner replica)\n",
 			rep.Retries, rep.DegradedPredicts)
 	}
-	printLatency := func(name string, l server.LatencyStats) {
+	printLatency := func(name string, l loadgen.LatencyStats) {
 		if l.Count == 0 {
 			return
 		}
@@ -161,7 +163,7 @@ func main() {
 	var keys int
 	var dg string
 	if *doDigest || *expectDigest != "" {
-		keys, dg, err = server.Digest(*addr, nil)
+		keys, dg, err = loadgen.Digest(*addr)
 		if err != nil {
 			fail("fetching digest: %v", err)
 		}
@@ -170,19 +172,19 @@ func main() {
 
 	if *out != "" {
 		doc := struct {
-			SchemaVersion int                `json:"schema_version"`
-			GeneratedAt   string             `json:"generated_at"`
-			Addr          string             `json:"addr"`
-			WireAddr      string             `json:"wire_addr,omitempty"`
-			Concurrency   int                `json:"concurrency"`
-			EventsPerPost int                `json:"events_per_post"`
-			PredictEvery  int                `json:"predict_every"`
-			RatePerSec    float64            `json:"rate_per_sec"`
-			Report        *server.LoadReport `json:"report"`
-			MeanBatch     float64            `json:"mean_batch"`
-			UpdatesRun    int64              `json:"updates_run"`
-			Digest        string             `json:"digest,omitempty"`
-			Keys          int                `json:"keys,omitempty"`
+			SchemaVersion int                 `json:"schema_version"`
+			GeneratedAt   string              `json:"generated_at"`
+			Addr          string              `json:"addr"`
+			WireAddr      string              `json:"wire_addr,omitempty"`
+			Concurrency   int                 `json:"concurrency"`
+			EventsPerPost int                 `json:"events_per_post"`
+			PredictEvery  int                 `json:"predict_every"`
+			RatePerSec    float64             `json:"rate_per_sec"`
+			Report        *loadgen.LoadReport `json:"report"`
+			MeanBatch     float64             `json:"mean_batch"`
+			UpdatesRun    int64               `json:"updates_run"`
+			Digest        string              `json:"digest,omitempty"`
+			Keys          int                 `json:"keys,omitempty"`
 		}{
 			SchemaVersion: 1,
 			GeneratedAt:   time.Now().UTC().Format(time.RFC3339),

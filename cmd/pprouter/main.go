@@ -43,7 +43,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
-	"repro/internal/server"
+	"repro/internal/loadgen"
 )
 
 func main() {
@@ -155,7 +155,7 @@ func main() {
 		}
 		wait = append(wait, splitURLs(*spares)...)
 		for _, u := range wait {
-			if err := server.WaitHealthy(u, *waitHealthy); err != nil {
+			if err := loadgen.WaitHealthy(u, *waitHealthy); err != nil {
 				fmt.Fprintf(os.Stderr, "pprouter: replica %s: %v\n", u, err)
 				os.Exit(1)
 			}

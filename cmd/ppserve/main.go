@@ -56,6 +56,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/loadgen"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/replication"
@@ -257,7 +258,7 @@ func main() {
 	} else {
 		fmt.Println("== predictive precompute serving simulation ==")
 	}
-	data, split := server.ReplayCohort(*users, *seed)
+	data, split := loadgen.ReplayCohort(*users, *seed)
 	fmt.Printf("dataset: %d users, %d sessions, positive rate %.1f%%\n",
 		len(data.Users), data.NumSessions(), 100*data.PositiveRate())
 
@@ -321,7 +322,7 @@ func main() {
 	// production traffic would interleave users. The log comes from the
 	// same builder ppload uses, so the HTTP parity gate replays identical
 	// traffic.
-	evs := server.LogFromDataset(split.Test)
+	evs := loadgen.LogFromDataset(split.Test)
 
 	// stack is one generation of the serving tier; a simulated restart
 	// tears it down and rebuilds it from the persisted state.

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/loadgen"
 	"repro/internal/replication"
 	"repro/internal/server"
 	"repro/internal/serving"
@@ -101,7 +102,7 @@ func kill(r *replica) {
 // zero errors after cutover.
 func TestRouterFailoverParity(t *testing.T) {
 	m := testModel(t, 16)
-	log := server.ReplayLog(24, 5)
+	log := loadgen.ReplayLog(24, 5)
 	seq := seqReplay(m, log)
 
 	a, b := startReplica(t, m), startReplica(t, m)
@@ -142,7 +143,7 @@ func TestRouterFailoverParity(t *testing.T) {
 	// Phase 2 runs entirely on the new topology and must be clean.
 	runHalf(t, rts.URL, log[half:], true)
 
-	keys, dg, err := server.Digest(rts.URL, nil)
+	keys, dg, err := loadgen.Digest(rts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/loadgen"
 	"repro/internal/server"
 	"repro/internal/serving"
 	"repro/internal/statestore"
@@ -24,7 +25,7 @@ func testModel(t *testing.T, hidden int) *core.Model {
 
 // seqReplay replays the log through the sequential in-process path — the
 // parity baseline (identical to the server package's helper).
-func seqReplay(m *core.Model, log []server.ReplayEvent) *serving.KVStore {
+func seqReplay(m *core.Model, log []loadgen.ReplayEvent) *serving.KVStore {
 	st := serving.NewKVStore()
 	p := serving.NewStreamProcessor(m, st)
 	for _, e := range log {
@@ -118,7 +119,7 @@ func assertClusterMatchesSequential(t *testing.T, seq *serving.KVStore, got map[
 
 // distinctUsers counts the users in a log (expected store misses: exactly
 // one cold first session per user — any more means a state was lost).
-func distinctUsers(log []server.ReplayEvent) int {
+func distinctUsers(log []loadgen.ReplayEvent) int {
 	seen := map[int]bool{}
 	for _, e := range log {
 		seen[e.User] = true
@@ -136,9 +137,9 @@ func totalMisses(replicas ...*replica) int64 {
 }
 
 // runHalf replays half a log through the router, requiring a clean run.
-func runHalf(t *testing.T, base string, half []server.ReplayEvent, flush bool) {
+func runHalf(t *testing.T, base string, half []loadgen.ReplayEvent, flush bool) {
 	t.Helper()
-	rep, err := server.RunLoad(server.LoadOptions{
+	rep, err := loadgen.RunLoad(loadgen.LoadOptions{
 		BaseURL:       base,
 		Concurrency:   4,
 		EventsPerPost: 5,
@@ -161,7 +162,7 @@ func runHalf(t *testing.T, base string, half []server.ReplayEvent, flush bool) {
 // distinct user, cluster-wide, reshard included).
 func TestClusterParityWithMidReplayReshard(t *testing.T) {
 	m := testModel(t, 24)
-	log := server.ReplayLog(30, 3)
+	log := loadgen.ReplayLog(30, 3)
 	if len(log) < 20 {
 		t.Fatalf("replay log too small: %d", len(log))
 	}
@@ -195,7 +196,7 @@ func TestClusterParityWithMidReplayReshard(t *testing.T) {
 	runHalf(t, rts.URL, log[half:], true)
 
 	// Aggregate digest must equal the single-process sequential digest.
-	keys, dg, err := server.Digest(rts.URL, nil)
+	keys, dg, err := loadgen.Digest(rts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

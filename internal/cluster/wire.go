@@ -4,7 +4,8 @@
 // copying byte ranges (wire.Splicer) and re-framed onto pooled
 // connections, so the fan-out cost is a varint walk plus memcpy instead
 // of a decode/re-marshal cycle. Per-user order is preserved by pinning:
-// a user rides one client connection (loadgen sharding), each inbound
+// a user rides one client connection (internal/loadgen shards users
+// across its connections with serving.UserLane), each inbound
 // connection pins to one outbound pooled connection per replica, and
 // event frames on a connection are forwarded synchronously — acked before
 // the next frame is read — so frames cannot overtake each other.

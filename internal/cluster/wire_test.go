@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/server"
+	"repro/internal/loadgen"
 	"repro/internal/serving"
 	"repro/internal/wire"
 )
@@ -55,7 +55,7 @@ func deadWireAddr(t *testing.T) string {
 // digest agreeing and zero sheds/errors. Predicts ride the wire too.
 func TestWireClusterParity(t *testing.T) {
 	m := testModel(t, 24)
-	log := server.ReplayLog(30, 3)
+	log := loadgen.ReplayLog(30, 3)
 	seq := seqReplay(m, log)
 
 	reps := make([]*replica, 3)
@@ -71,7 +71,7 @@ func TestWireClusterParity(t *testing.T) {
 	defer rts.Close()
 	routerWire := startWireRouter(t, router)
 
-	rep, err := server.RunLoad(server.LoadOptions{
+	rep, err := loadgen.RunLoad(loadgen.LoadOptions{
 		BaseURL:       rts.URL,
 		WireAddr:      routerWire,
 		Concurrency:   4,
@@ -89,7 +89,7 @@ func TestWireClusterParity(t *testing.T) {
 		t.Fatalf("no predictions rode the wire: %+v", rep)
 	}
 
-	keys, dg, err := server.Digest(rts.URL, nil)
+	keys, dg, err := loadgen.Digest(rts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestWireClusterParity(t *testing.T) {
 // Parity must hold across the mixed transports.
 func TestWireClusterHTTPFallbackParity(t *testing.T) {
 	m := testModel(t, 16)
-	log := server.ReplayLog(24, 4)
+	log := loadgen.ReplayLog(24, 4)
 	seq := seqReplay(m, log)
 
 	reps := make([]*replica, 3)
@@ -127,7 +127,7 @@ func TestWireClusterHTTPFallbackParity(t *testing.T) {
 	defer rts.Close()
 	routerWire := startWireRouter(t, router)
 
-	rep, err := server.RunLoad(server.LoadOptions{
+	rep, err := loadgen.RunLoad(loadgen.LoadOptions{
 		BaseURL:       rts.URL,
 		WireAddr:      routerWire,
 		Concurrency:   3,
@@ -142,7 +142,7 @@ func TestWireClusterHTTPFallbackParity(t *testing.T) {
 		t.Fatalf("fallback replay must be clean: %+v", rep)
 	}
 
-	keys, dg, err := server.Digest(rts.URL, nil)
+	keys, dg, err := loadgen.Digest(rts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

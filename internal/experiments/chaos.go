@@ -15,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/loadgen"
 	"repro/internal/replication"
 	"repro/internal/server"
 	"repro/internal/serving"
@@ -62,7 +63,7 @@ func (l *Lab) Chaos() *Report {
 	mcfg.HiddenDim = 24
 	mcfg.Seed = l.Scale.Seed
 	m := core.New(synth.MobileTabSchema(), mcfg)
-	log := server.ReplayLog(users, l.Scale.Seed)
+	log := loadgen.ReplayLog(users, l.Scale.Seed)
 
 	// Sequential baseline digest — the zero-lost-states gate.
 	seqStore := serving.NewKVStore()
@@ -137,8 +138,8 @@ func (l *Lab) Chaos() *Report {
 	rts := httptest.NewServer(router)
 	defer rts.Close()
 
-	run := func(part []server.ReplayEvent, flush bool) *server.LoadReport {
-		rep, err := server.RunLoad(server.LoadOptions{
+	run := func(part []loadgen.ReplayEvent, flush bool) *loadgen.LoadReport {
+		rep, err := loadgen.RunLoad(loadgen.LoadOptions{
 			BaseURL: rts.URL, Concurrency: 4, EventsPerPost: 16, Flush: flush,
 			PredictEvery: 8, PredictInterval: 5 * time.Millisecond,
 			RetryFailed: 200, RetryBackoff: 10 * time.Millisecond,
@@ -192,7 +193,7 @@ func (l *Lab) Chaos() *Report {
 	// delays still armed); A-owned events are deferred; A-owned predicts
 	// during the prober's convergence window are answered degraded.
 	ring := router.Ring()
-	var window, deferred []server.ReplayEvent
+	var window, deferred []loadgen.ReplayEvent
 	for _, e := range log[2*quarter : 3*quarter] {
 		if ring.OwnerOfUser(e.User) == b.ts.URL {
 			window = append(window, e)
@@ -249,9 +250,9 @@ func (l *Lab) Chaos() *Report {
 	// (Counters are snapshotted first: disarming drops the scenario.)
 	counters := faults.Counters()
 	faults.Disarm()
-	rep4 := run(append(append([]server.ReplayEvent(nil), deferred...), log[3*quarter:]...), true)
+	rep4 := run(append(append([]loadgen.ReplayEvent(nil), deferred...), log[3*quarter:]...), true)
 
-	_, gotDigest, err := server.Digest(rts.URL, nil)
+	_, gotDigest, err := loadgen.Digest(rts.URL)
 	if err != nil {
 		panic(fmt.Sprintf("chaos experiment digest: %v", err))
 	}
@@ -260,7 +261,7 @@ func (l *Lab) Chaos() *Report {
 		parity = "MISMATCH"
 	}
 
-	reps := []*server.LoadReport{rep1, rep2, rep3, rep4}
+	reps := []*loadgen.LoadReport{rep1, rep2, rep3, rep4}
 	clientDegraded := kr.degraded
 	totalRetries := 0
 	for _, rep := range reps {
@@ -294,7 +295,7 @@ func (l *Lab) Chaos() *Report {
 	}
 	for _, row := range []struct {
 		name string
-		rep  *server.LoadReport
+		rep  *loadgen.LoadReport
 	}{
 		{"steady", rep1},
 		{"chaos", rep2},

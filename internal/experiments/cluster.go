@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/loadgen"
 	"repro/internal/server"
 	"repro/internal/serving"
 	"repro/internal/synth"
@@ -36,7 +37,7 @@ func (l *Lab) Cluster() *Report {
 	mcfg.HiddenDim = 24
 	mcfg.Seed = l.Scale.Seed
 	m := core.New(synth.MobileTabSchema(), mcfg)
-	log := server.ReplayLog(users, l.Scale.Seed)
+	log := loadgen.ReplayLog(users, l.Scale.Seed)
 
 	// Sequential baseline.
 	seqStore := serving.NewKVStore()
@@ -83,8 +84,8 @@ func (l *Lab) Cluster() *Report {
 	rts := httptest.NewServer(router)
 	defer rts.Close()
 
-	runHalf := func(half []server.ReplayEvent, flush bool) *server.LoadReport {
-		rep, err := server.RunLoad(server.LoadOptions{
+	runHalf := func(half []loadgen.ReplayEvent, flush bool) *loadgen.LoadReport {
+		rep, err := loadgen.RunLoad(loadgen.LoadOptions{
 			BaseURL: rts.URL, Concurrency: 4, EventsPerPost: 16, Flush: flush,
 		}, half)
 		if err != nil {
@@ -102,7 +103,7 @@ func (l *Lab) Cluster() *Report {
 	r2 := runHalf(log[half:], true)
 	wall := time.Since(t0)
 
-	_, gotDigest, err := server.Digest(rts.URL, nil)
+	_, gotDigest, err := loadgen.Digest(rts.URL)
 	if err != nil {
 		panic(fmt.Sprintf("cluster experiment digest: %v", err))
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/loadgen"
 	"repro/internal/replication"
 	"repro/internal/server"
 	"repro/internal/serving"
@@ -45,7 +46,7 @@ func (l *Lab) Failover() *Report {
 	mcfg.HiddenDim = 24
 	mcfg.Seed = l.Scale.Seed
 	m := core.New(synth.MobileTabSchema(), mcfg)
-	log := server.ReplayLog(users, l.Scale.Seed)
+	log := loadgen.ReplayLog(users, l.Scale.Seed)
 
 	// Sequential baseline.
 	seqStore := serving.NewKVStore()
@@ -118,8 +119,8 @@ func (l *Lab) Failover() *Report {
 	rts := httptest.NewServer(router)
 	defer rts.Close()
 
-	run := func(part []server.ReplayEvent, flush bool) *server.LoadReport {
-		rep, err := server.RunLoad(server.LoadOptions{
+	run := func(part []loadgen.ReplayEvent, flush bool) *loadgen.LoadReport {
+		rep, err := loadgen.RunLoad(loadgen.LoadOptions{
 			BaseURL: rts.URL, Concurrency: 4, EventsPerPost: 16, Flush: flush,
 		}, part)
 		if err != nil {
@@ -144,7 +145,7 @@ func (l *Lab) Failover() *Report {
 	// Failover window: survivors' traffic only. A-owned sessions from this
 	// third are deferred to the recovered phase.
 	ring := router.Ring()
-	var window, deferred []server.ReplayEvent
+	var window, deferred []loadgen.ReplayEvent
 	for _, e := range log[third : 2*third] {
 		if ring.OwnerOfUser(e.User) == b.ts.URL {
 			window = append(window, e)
@@ -166,9 +167,9 @@ func (l *Lab) Failover() *Report {
 	rep2 := run(window, false)
 	cutover := <-killed
 
-	rep3 := run(append(append([]server.ReplayEvent(nil), deferred...), log[2*third:]...), true)
+	rep3 := run(append(append([]loadgen.ReplayEvent(nil), deferred...), log[2*third:]...), true)
 
-	_, gotDigest, err := server.Digest(rts.URL, nil)
+	_, gotDigest, err := loadgen.Digest(rts.URL)
 	if err != nil {
 		panic(fmt.Sprintf("failover experiment digest: %v", err))
 	}
@@ -184,7 +185,7 @@ func (l *Lab) Failover() *Report {
 	}
 	for _, row := range []struct {
 		name string
-		rep  *server.LoadReport
+		rep  *loadgen.LoadReport
 	}{
 		{"steady state", rep1},
 		{"failover window", rep2},

@@ -1,4 +1,4 @@
-package server_test
+package loadgen_test
 
 import (
 	"bufio"
@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	loadgen "repro/internal/server"
+	"repro/internal/loadgen"
 	"repro/internal/wire"
 )
 

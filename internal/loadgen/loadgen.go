@@ -1,4 +1,15 @@
-package server
+// Package loadgen is the load client for the online server: it replays
+// an event log over the HTTP API or the binary wire protocol, closed- or
+// open-loop, and reports latency histograms. It is shared by cmd/ppload
+// (standalone driver), the cluster/failover/chaos experiments and the
+// parity tests, and its per-user ordering rules are what make a replay
+// parity-comparable with in-process sequential replay: users are sharded
+// across workers (a user's events stay on one connection, in timestamp
+// order) and a session's start and access events always ride the same
+// post. The two transports differ only in how a post or a predict is
+// encoded and how its reply is classified; chunking, pacing, retries and
+// accounting are one path.
+package loadgen
 
 import (
 	"bytes"
@@ -7,22 +18,15 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/server"
 	"repro/internal/serving"
 	"repro/internal/synth"
 	"repro/internal/wire"
 )
-
-// The load generator replays an event log over the HTTP API, closed- or
-// open-loop, and reports latency histograms. It is shared by cmd/ppload
-// (standalone driver), the cluster/failover/chaos experiments and the
-// parity tests, and its per-user ordering rules are what make the HTTP
-// replay parity-comparable with in-process sequential replay: users are
-// sharded across workers (a user's events stay on one connection, in
-// timestamp order) and a session's start and access events always ride
-// the same POST.
 
 // ReplayEvent is one session of the replay log: a start event plus an
 // optional access 30 virtual seconds later (the same shape ppserve's
@@ -111,8 +115,6 @@ type LoadOptions struct {
 	// RetryBackoff is the pause between event-post retries (<=0 selects
 	// 50ms).
 	RetryBackoff time.Duration
-	// Client overrides the HTTP client (nil selects a pooled default).
-	Client *http.Client
 	// WireAddr switches the hot path (events, predicts) onto the binary
 	// wire protocol at this host:port, one persistent pooled connection
 	// per worker. The control plane (/flush, /digest, /statz) stays on
@@ -168,10 +170,7 @@ type LoadReport struct {
 // loadWorker drives one connection's share of the log.
 type loadWorker struct {
 	opts         LoadOptions
-	client       *http.Client
-	wcl          *wire.Client // non-nil in wire mode
-	lane         uint64       // pins this worker to one pooled wire connection
-	wireBuf      []byte       // reused encode buffer (events or predict payload)
+	tr           transport
 	sessions     []ReplayEvent
 	eventLat     []float64
 	predictLat   []float64
@@ -179,16 +178,17 @@ type loadWorker struct {
 	sessionsOK   int // sessions whose post was accepted
 	posts        int
 	predicts     int
-	shed         int // events shed via 429
-	predictsShed int // predict requests shed via 429
+	shed         int // events shed
+	predictsShed int // predict requests shed
 	errors       int
 	retries      int // event-post re-sends under RetryFailed
-	degraded     int // 200 predicts answered degraded by the router
+	degraded     int // accepted predicts answered degraded by the router
 }
 
-// RunLoad replays log over the HTTP API and reports throughput and latency.
-// The returned error covers setup problems only; per-request failures are
-// counted in the report.
+// RunLoad replays log over the HTTP API, or the wire protocol when
+// WireAddr is set, and reports throughput and latency. The returned error
+// covers setup problems only; per-request failures are counted in the
+// report.
 func RunLoad(opts LoadOptions, log []ReplayEvent) (*LoadReport, error) {
 	if opts.Concurrency <= 0 {
 		opts.Concurrency = 8
@@ -196,31 +196,35 @@ func RunLoad(opts LoadOptions, log []ReplayEvent) (*LoadReport, error) {
 	if opts.EventsPerPost <= 0 {
 		opts.EventsPerPost = 16
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{
-			Timeout: 30 * time.Second,
-			Transport: &http.Transport{
-				MaxIdleConnsPerHost: opts.Concurrency * 2,
-			},
-		}
+	if opts.PredictInterval <= 0 {
+		opts.PredictInterval = 10 * time.Millisecond
+	}
+	if opts.RetryBackoff <= 0 {
+		opts.RetryBackoff = 50 * time.Millisecond
+	}
+	client := &http.Client{
+		Timeout: 30 * time.Second,
+		Transport: &http.Transport{
+			MaxIdleConnsPerHost: opts.Concurrency * 2,
+		},
 	}
 
 	// In wire mode the hot path rides a pooled binary client: one pooled
 	// connection per worker plus one for the predict sampler, so the
 	// per-worker (and therefore per-user) ordering contract carries over
 	// unchanged from the HTTP transport.
-	var wcl *wire.Client
+	newTransport := func(lane int) transport { return &httpTransport{client: client, baseURL: opts.BaseURL} }
 	if opts.WireAddr != "" {
-		wcl = wire.NewClient(opts.WireAddr, wire.ClientOptions{Conns: opts.Concurrency + 1})
+		wcl := wire.NewClient(opts.WireAddr, wire.ClientOptions{Conns: opts.Concurrency + 1})
 		defer wcl.Close()
+		newTransport = func(lane int) transport { return &wireTransport{client: wcl, lane: uint64(lane)} }
 	}
 
 	// Shard sessions by user: all of a user's sessions ride one worker, in
 	// log (timestamp) order — the ordering contract the parity gate needs.
 	workers := make([]*loadWorker, opts.Concurrency)
 	for i := range workers {
-		workers[i] = &loadWorker{opts: opts, client: client, wcl: wcl, lane: uint64(i)}
+		workers[i] = &loadWorker{opts: opts, tr: newTransport(i)}
 	}
 	for _, ev := range log {
 		w := workers[serving.UserLane(ev.User, len(workers))]
@@ -228,32 +232,29 @@ func RunLoad(opts LoadOptions, log []ReplayEvent) (*LoadReport, error) {
 	}
 
 	t0 := time.Now()
-	done := make(chan struct{})
+	var replay, sampling sync.WaitGroup
 	for _, w := range workers {
-		go func(w *loadWorker) {
-			defer func() { done <- struct{}{} }()
-			w.run(t0)
-		}(w)
-	}
-	var sampler *loadWorker
-	stopSampler := make(chan struct{})
-	samplerDone := make(chan struct{})
-	if opts.PredictEvery > 0 && len(log) > 0 {
-		sampler = &loadWorker{opts: opts, client: client, wcl: wcl, lane: uint64(opts.Concurrency)}
+		replay.Add(1)
 		go func() {
-			defer close(samplerDone)
-			sampler.samplePredicts(log, stopSampler)
+			defer replay.Done()
+			w.run(t0)
 		}()
 	}
-	for range workers {
-		<-done
+	stop := make(chan struct{})
+	if opts.PredictEvery > 0 && len(log) > 0 {
+		sampler := &loadWorker{opts: opts, tr: newTransport(opts.Concurrency)}
+		workers = append(workers, sampler)
+		sampling.Add(1)
+		go func() {
+			defer sampling.Done()
+			sampler.samplePredicts(log, stop)
+		}()
 	}
-	if sampler != nil {
-		close(stopSampler)
-		<-samplerDone
-	}
+	replay.Wait()
+	close(stop)
+	sampling.Wait()
 	if opts.Flush {
-		if _, err := Flush(opts.BaseURL, client); err != nil {
+		if err := flush(client, opts.BaseURL); err != nil {
 			return nil, fmt.Errorf("flush: %w", err)
 		}
 	}
@@ -277,13 +278,6 @@ func RunLoad(opts LoadOptions, log []ReplayEvent) (*LoadReport, error) {
 		evLat = append(evLat, w.eventLat...)
 		prLat = append(prLat, w.predictLat...)
 	}
-	if sampler != nil {
-		rep.Predicts += sampler.predicts
-		rep.PredictsShed += sampler.predictsShed
-		rep.Errors += sampler.errors
-		rep.DegradedPredicts += sampler.degraded
-		prLat = append(prLat, sampler.predictLat...)
-	}
 	rep.SessionsPerSec = float64(rep.SessionsAccepted) / wall.Seconds()
 	if rep.Posts > 0 {
 		rep.EventsPerPostMean = float64(rep.Events) / float64(rep.Posts)
@@ -297,16 +291,12 @@ func RunLoad(opts LoadOptions, log []ReplayEvent) (*LoadReport, error) {
 // posting one predict per interval until the event replay finishes (at
 // least one is always posted).
 func (w *loadWorker) samplePredicts(log []ReplayEvent, stop <-chan struct{}) {
-	interval := w.opts.PredictInterval
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
 	for i := 0; ; i++ {
-		w.postPredict(log[(i*w.opts.PredictEvery)%len(log)])
+		w.predict(log[(i*w.opts.PredictEvery)%len(log)])
 		select {
 		case <-stop:
 			return
-		case <-time.After(interval):
+		case <-time.After(w.opts.PredictInterval):
 		}
 	}
 }
@@ -314,245 +304,216 @@ func (w *loadWorker) samplePredicts(log []ReplayEvent, stop <-chan struct{}) {
 // run replays the worker's sessions: coalesce events into posts (keeping
 // each session's start+access pair whole), pace if open-loop.
 func (w *loadWorker) run(start time.Time) {
-	if w.wcl != nil {
-		w.runWire(start)
-		return
-	}
-	chunk := make([]Event, 0, w.opts.EventsPerPost+1)
-	var sent int
-	pace := func() {
-		if w.opts.RatePerSec <= 0 {
-			return
+	perWorker := w.opts.RatePerSec / float64(w.opts.Concurrency)
+	var count, starts int
+	for sent, ev := range w.sessions {
+		if perWorker > 0 {
+			due := start.Add(time.Duration(float64(sent) / perWorker * float64(time.Second)))
+			time.Sleep(time.Until(due))
 		}
-		perWorker := w.opts.RatePerSec / float64(w.opts.Concurrency)
-		due := start.Add(time.Duration(float64(sent) / perWorker * float64(time.Second)))
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
-	}
-	flushChunk := func() {
-		if len(chunk) == 0 {
-			return
-		}
-		w.postEvents(chunk)
-		chunk = chunk[:0]
-	}
-	for _, ev := range w.sessions {
-		pace()
-		// Keep the pair atomic: flush first if it would not fit whole.
-		if len(chunk)+2 > cap(chunk) {
-			flushChunk()
-		}
-		chunk = append(chunk, Event{Type: "start", Session: ev.SID, User: ev.User, Ts: ev.Ts, Cat: ev.Cat})
-		if ev.Access {
-			chunk = append(chunk, Event{Type: "access", Session: ev.SID, Ts: ev.Ts + 30})
-		}
-		if len(chunk) >= w.opts.EventsPerPost {
-			flushChunk()
-		}
-		sent++
-	}
-	flushChunk()
-}
-
-// runWire is run's binary-transport twin: the same chunking rules (pair
-// atomicity, EventsPerPost, pacing), but events encode straight into a
-// reused wire batch buffer instead of a JSON slice.
-func (w *loadWorker) runWire(start time.Time) {
-	var count, starts, sent int
-	buf := w.wireBuf[:0]
-	pace := func() {
-		if w.opts.RatePerSec <= 0 {
-			return
-		}
-		perWorker := w.opts.RatePerSec / float64(w.opts.Concurrency)
-		due := start.Add(time.Duration(float64(sent) / perWorker * float64(time.Second)))
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
-	}
-	flushChunk := func() {
-		if count == 0 {
-			return
-		}
-		w.postEventsWire(count, starts, buf)
-		buf, count, starts = buf[:0], 0, 0
-	}
-	for _, ev := range w.sessions {
-		pace()
 		// Keep the pair atomic: flush first if it would not fit whole.
 		if count+2 > w.opts.EventsPerPost+1 {
-			flushChunk()
+			w.post(count, starts)
+			count, starts = 0, 0
 		}
-		buf = wire.AppendStart(buf, ev.User, ev.Ts, ev.SID, ev.Cat)
-		count++
-		starts++
+		w.tr.add(ev)
+		count, starts = count+1, starts+1
 		if ev.Access {
-			buf = wire.AppendAccess(buf, ev.User, ev.Ts+30, ev.SID)
 			count++
 		}
 		if count >= w.opts.EventsPerPost {
-			flushChunk()
+			w.post(count, starts)
+			count, starts = 0, 0
 		}
-		sent++
 	}
-	flushChunk()
-	w.wireBuf = buf
+	if count > 0 {
+		w.post(count, starts)
+	}
 }
 
-func (w *loadWorker) postEvents(evs []Event) {
-	starts := 0
-	for _, ev := range evs {
-		if ev.Type == "start" {
-			starts++
-		}
-	}
-	body, _ := json.Marshal(evs)
-	backoff := w.opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
-	// Retry in place: the same batch is re-sent until it is accepted, shed,
-	// or the budget runs out. Because the worker does not advance past a
-	// failed batch, a user's events still reach the server in timestamp
-	// order even when some posts ride out a failover window.
+// post sends the pending post of count events carrying starts sessions.
+// It retries in place: the same post is re-sent until it is accepted,
+// shed or refused, or the RetryFailed budget runs out. Because the worker
+// does not advance past a failed post, a user's events still reach the
+// server in timestamp order even when some posts ride out a failover
+// window. A latency sample is taken only when a reply arrives.
+func (w *loadWorker) post(count, starts int) {
+	defer w.tr.reset()
 	for attempt := 0; ; attempt++ {
 		t0 := time.Now()
-		resp, err := w.client.Post(w.opts.BaseURL+"/event", "application/json", bytes.NewReader(body))
-		lat := float64(time.Since(t0).Nanoseconds()) / 1e6
+		o := w.tr.send(count)
 		w.posts++
-		retryable := false
-		if err != nil {
-			retryable = true
-		} else {
-			w.eventLat = append(w.eventLat, lat)
-			switch {
-			case resp.StatusCode == http.StatusAccepted:
-				resp.Body.Close()
-				w.events += len(evs)
-				w.sessionsOK += starts
-				return
-			case resp.StatusCode == http.StatusTooManyRequests:
-				resp.Body.Close()
-				w.shed += len(evs)
-				return
-			default:
-				retryable = resp.StatusCode >= 500
-				resp.Body.Close()
-			}
+		if o != lost {
+			w.eventLat = append(w.eventLat, sinceMs(t0))
 		}
-		if !retryable || attempt >= w.opts.RetryFailed {
+		switch {
+		case o == accepted:
+			w.events += count
+			w.sessionsOK += starts
+			return
+		case o == shed:
+			w.shed += count
+			return
+		case o == failed || attempt >= w.opts.RetryFailed:
 			w.errors++
 			return
 		}
 		w.retries++
-		time.Sleep(backoff)
+		time.Sleep(w.opts.RetryBackoff)
 	}
 }
 
-// postEventsWire is postEvents over the binary transport, with the same
-// retry contract: transport errors and Error/Draining acks are retryable
-// in place (order preserved), shed batches are not. SendEvents itself
-// never retries — delivery after a transport error is unknown, and the
-// double-apply rule says only this layer, which owns the batch, decides.
-func (w *loadWorker) postEventsWire(count, starts int, events []byte) {
-	backoff := w.opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
-	for attempt := 0; ; attempt++ {
-		t0 := time.Now()
-		ack, err := w.wcl.SendEvents(w.lane, count, events)
-		lat := float64(time.Since(t0).Nanoseconds()) / 1e6
-		w.posts++
-		retryable := false
-		if err != nil {
-			retryable = true
-		} else {
-			w.eventLat = append(w.eventLat, lat)
-			switch ack.Status {
-			case wire.StatusOK:
-				w.events += count
-				w.sessionsOK += starts
-				return
-			case wire.StatusShed:
-				w.shed += count
-				return
-			default:
-				retryable = ack.Status == wire.StatusError || ack.Status == wire.StatusDraining
-			}
-		}
-		if !retryable || attempt >= w.opts.RetryFailed {
-			w.errors++
-			return
-		}
-		w.retries++
-		time.Sleep(backoff)
-	}
-}
-
-func (w *loadWorker) postPredict(ev ReplayEvent) {
-	if w.wcl != nil {
-		w.postPredictWire(ev)
-		return
-	}
-	body, _ := json.Marshal(PredictIn{User: ev.User, Ts: ev.Ts, Cat: ev.Cat})
+// predict samples one predict. It makes a single attempt: a failed sample
+// is an error count, not a retry loop distorting the latency histogram.
+func (w *loadWorker) predict(ev ReplayEvent) {
 	t0 := time.Now()
-	resp, err := w.client.Post(w.opts.BaseURL+"/predict", "application/json", bytes.NewReader(body))
-	lat := float64(time.Since(t0).Nanoseconds()) / 1e6
-	if err != nil {
+	o, degraded := w.tr.predict(ev)
+	switch o {
+	case accepted:
+		w.predicts++
+		w.predictLat = append(w.predictLat, sinceMs(t0))
+		if degraded {
+			w.degraded++
+		}
+	case shed:
+		w.predictsShed++
+	default:
 		w.errors++
-		return
 	}
+}
+
+func sinceMs(t0 time.Time) float64 { return float64(time.Since(t0).Nanoseconds()) / 1e6 }
+
+// outcome classifies one reply, the same way on both transports.
+type outcome uint8
+
+const (
+	accepted  outcome = iota // 202 (200 for a predict); StatusOK
+	shed                     // 429; StatusShed: the server's choice, never resent
+	retryable                // 5xx; StatusError, StatusDraining: resent in place
+	failed                   // any other reply: an error, not resent
+	lost                     // no reply: delivery unknown, resent in place
+)
+
+// transport encodes one worker's posts and predicts in one protocol and
+// classifies the replies; the worker owns chunking, pacing, retries and
+// accounting.
+type transport interface {
+	// add appends ev's start, and its access if it has one, to the
+	// pending post.
+	add(ev ReplayEvent)
+	// send sends the pending post of n events; calling it again re-sends
+	// the same post.
+	send(n int) outcome
+	// reset empties the pending post.
+	reset()
+	// predict sends one predict for ev and reports whether an accepted
+	// answer was degraded.
+	predict(ev ReplayEvent) (outcome, bool)
+}
+
+// httpTransport posts server.Event JSON to /event and server.PredictIn
+// JSON to /predict.
+type httpTransport struct {
+	client  *http.Client
+	baseURL string
+	chunk   []server.Event
+}
+
+func (t *httpTransport) add(ev ReplayEvent) {
+	t.chunk = append(t.chunk, server.Event{Type: "start", Session: ev.SID, User: ev.User, Ts: ev.Ts, Cat: ev.Cat})
+	if ev.Access {
+		t.chunk = append(t.chunk, server.Event{Type: "access", Session: ev.SID, Ts: ev.Ts + 30})
+	}
+}
+
+func (t *httpTransport) send(int) outcome {
+	return t.post("/event", t.chunk, http.StatusAccepted, nil)
+}
+
+func (t *httpTransport) reset() { t.chunk = t.chunk[:0] }
+
+func (t *httpTransport) predict(ev ReplayEvent) (outcome, bool) {
+	var out server.PredictOut
+	o := t.post("/predict", server.PredictIn{User: ev.User, Ts: ev.Ts, Cat: ev.Cat}, http.StatusOK, &out)
+	return o, out.Degraded
+}
+
+// post sends v as JSON to path and classifies the reply; an accepted
+// reply's body is decoded into out when out is non-nil.
+func (t *httpTransport) post(path string, v any, okStatus int, out *server.PredictOut) outcome {
+	body, _ := json.Marshal(v)
+	resp, err := t.client.Post(t.baseURL+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return lost
+	}
+	defer resp.Body.Close()
 	switch {
-	case resp.StatusCode == http.StatusOK:
-		w.predicts++
-		w.predictLat = append(w.predictLat, lat)
-		var out PredictOut
-		if json.NewDecoder(resp.Body).Decode(&out) == nil && out.Degraded {
-			w.degraded++
+	case resp.StatusCode == okStatus:
+		if out != nil && json.NewDecoder(resp.Body).Decode(out) != nil {
+			*out = server.PredictOut{}
 		}
+		return accepted
 	case resp.StatusCode == http.StatusTooManyRequests:
-		w.predictsShed++
-	default:
-		w.errors++
+		return shed
+	case resp.StatusCode >= 500:
+		return retryable
 	}
-	resp.Body.Close()
+	return failed
 }
 
-// postPredictWire samples one predict over the binary transport. Like the
-// HTTP sampler it makes a single attempt per sample — a failed sample is
-// an error count, not a retry loop distorting the latency histogram.
-func (w *loadWorker) postPredictWire(ev ReplayEvent) {
-	payload := wire.AppendPredict(w.wireBuf[:0], ev.User, ev.Ts, ev.Cat)
-	w.wireBuf = payload
-	t0 := time.Now()
-	pr, err := w.wcl.SendPredict(w.lane, payload, 0)
-	lat := float64(time.Since(t0).Nanoseconds()) / 1e6
+// wireTransport sends wire.AppendStart/AppendAccess batches through
+// SendEvents and predicts through SendPredict, on its lane's pooled
+// connection. SendEvents itself never retries: delivery after a transport
+// error is unknown, and the double-apply rule says only the worker, which
+// owns the post, decides.
+type wireTransport struct {
+	client *wire.Client
+	lane   uint64
+	buf    []byte // the pending batch, or the last predict payload
+}
+
+func (t *wireTransport) add(ev ReplayEvent) {
+	t.buf = wire.AppendStart(t.buf, ev.User, ev.Ts, ev.SID, ev.Cat)
+	if ev.Access {
+		t.buf = wire.AppendAccess(t.buf, ev.User, ev.Ts+30, ev.SID)
+	}
+}
+
+func (t *wireTransport) send(n int) outcome {
+	ack, err := t.client.SendEvents(t.lane, n, t.buf)
 	if err != nil {
-		w.errors++
-		return
+		return lost
 	}
-	switch pr.Status {
+	return wireOutcome(ack.Status)
+}
+
+func (t *wireTransport) reset() { t.buf = t.buf[:0] }
+
+func (t *wireTransport) predict(ev ReplayEvent) (outcome, bool) {
+	t.buf = wire.AppendPredict(t.buf[:0], ev.User, ev.Ts, ev.Cat)
+	pr, err := t.client.SendPredict(t.lane, t.buf, 0)
+	if err != nil {
+		return lost, false
+	}
+	return wireOutcome(pr.Status), pr.Degraded
+}
+
+func wireOutcome(status byte) outcome {
+	switch status {
 	case wire.StatusOK:
-		w.predicts++
-		w.predictLat = append(w.predictLat, lat)
-		if pr.Degraded {
-			w.degraded++
-		}
+		return accepted
 	case wire.StatusShed:
-		w.predictsShed++
-	default:
-		w.errors++
+		return shed
+	case wire.StatusError, wire.StatusDraining:
+		return retryable
 	}
+	return failed
 }
 
 // summarize sorts latencies and extracts the histogram quantiles using the
 // explicit nearest-rank definition: Q(p) is the smallest sample such that at
 // least p·n samples are <= it, i.e. the sorted sample at index ceil(p·n)−1.
-// (The previous rounding form, int(p·n+0.5)−1, sat one rank low whenever the
-// fractional part of p·n was in (0, 0.5) — e.g. P90 of 24 samples read rank
-// 21 instead of 22 — which systematically flattered tail latencies.)
 func summarize(lat []float64) LatencyStats {
 	switch len(lat) {
 	case 0:
@@ -584,49 +545,39 @@ func summarize(lat []float64) LatencyStats {
 
 // ---- client helpers for the control endpoints ----
 
-// Flush POSTs /flush and returns the server's completed update count.
-func Flush(baseURL string, client *http.Client) (updatesRun int64, err error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
+// flush POSTs /flush, which answers once the server has drained.
+func flush(client *http.Client, baseURL string) error {
 	resp, err := client.Post(baseURL+"/flush", "application/json", nil)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("flush: HTTP %d", resp.StatusCode)
-	}
 	var out struct {
 		UpdatesRun int64 `json:"updates_run"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, err
-	}
-	return out.UpdatesRun, nil
+	return decodeOK("flush", resp, err, &out)
 }
 
 // Digest GETs /digest and returns the server's resident-state digest.
-func Digest(baseURL string, client *http.Client) (keys int, digest string, err error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Get(baseURL + "/digest")
-	if err != nil {
-		return 0, "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, "", fmt.Errorf("digest: HTTP %d", resp.StatusCode)
-	}
+func Digest(baseURL string) (keys int, digest string, err error) {
+	resp, err := http.Get(baseURL + "/digest")
 	var out struct {
 		Keys   int    `json:"keys"`
 		Digest string `json:"digest"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := decodeOK("digest", resp, err, &out); err != nil {
 		return 0, "", err
 	}
 	return out.Keys, out.Digest, nil
+}
+
+// decodeOK decodes the JSON body of a 200 reply into out. resp and err
+// are one request's results; what names the endpoint in errors.
+func decodeOK(what string, resp *http.Response, err error, out any) error {
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: HTTP %d", what, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // WaitHealthy polls /healthz until the server answers or the timeout

@@ -1,4 +1,4 @@
-package server
+package loadgen
 
 import (
 	"math/rand"
