@@ -185,14 +185,15 @@ func TestPredictMatchesService(t *testing.T) {
 	}
 }
 
-// TestPredictAdmission: PredictDepth bounds the predicts running at once.
+// TestPredictAdmission: predictDepth bounds the predicts running at once.
 // With two parked inside the store, a third is shed — 429 or StatusShed —
 // and counted, and the parked two still succeed once the store lets go.
 func TestPredictAdmission(t *testing.T) {
 	for _, transport := range []string{"http", "wire"} {
 		t.Run(transport, func(t *testing.T) {
 			store := newGatedStore()
-			srv := New(Options{Model: testModel(t, 16), Store: store, Threshold: 0.5, Lanes: 1, PredictDepth: 2})
+			srv := New(Options{Model: testModel(t, 16), Store: store, Threshold: 0.5, Lanes: 1})
+			srv.predictCap = 2
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 			defer store.release()

@@ -18,7 +18,7 @@
 // exposes the proof.
 //
 // Backpressure: when the finalisation backlog reaches the queue capacity,
-// POST /event returns 429 and the shed counter advances; when PredictDepth
+// POST /event returns 429 and the shed counter advances; when predictDepth
 // predicts are already running, POST /predict does the same. Bounded work
 // in flight sheds load instead of growing without limit.
 package server
@@ -135,10 +135,11 @@ type Options struct {
 	// control sheds events with 429 once Lanes*LaneDepth finalisations are
 	// in flight.
 	LaneDepth int
-	// PredictDepth bounds the predicts running at once (<=0 selects 1024);
-	// one more is shed with 429.
-	PredictDepth int
 }
+
+// predictDepth bounds the predicts running at once; one more is shed with
+// 429.
+const predictDepth = 1024
 
 // Server is the online serving tier. Create with New, serve with
 // ListenAndServe/Serve (or mount Handler in a test server), stop with
@@ -160,8 +161,10 @@ type Server struct {
 	pool *serving.LanePool
 
 	// predictsInflight counts predicts between admitPredict and
-	// releasePredict — the whole of predict admission control.
+	// releasePredict — the whole of predict admission control — against
+	// predictCap, which is predictDepth outside tests.
 	predictsInflight atomic.Int64
+	predictCap       int64
 
 	events       atomic.Int64
 	eventsShed   atomic.Int64
@@ -205,9 +208,6 @@ func New(opts Options) *Server {
 	if opts.LaneDepth <= 0 {
 		opts.LaneDepth = 256
 	}
-	if opts.PredictDepth <= 0 {
-		opts.PredictDepth = 1024
-	}
 	pool, err := serving.NewLanePool(opts.Model, opts.Store, serving.LaneConfig{
 		Lanes:    opts.Lanes,
 		Depth:    opts.LaneDepth,
@@ -226,6 +226,8 @@ func New(opts Options) *Server {
 		proc:  serving.NewStreamProcessor(opts.Model, opts.Store),
 		pool:  pool,
 		start: time.Now(),
+
+		predictCap: predictDepth,
 
 		wireListeners: map[net.Listener]struct{}{},
 		wireConns:     map[net.Conn]struct{}{},
@@ -371,14 +373,14 @@ func waitCtx(ctx context.Context, wait func()) error {
 
 // ---- predict admission ----
 
-// admitPredict claims one of the PredictDepth in-flight predict slots for
+// admitPredict claims one of the predictCap in-flight predict slots for
 // the calling goroutine, which then runs the prediction itself and calls
 // releasePredict; false means the request is shed (and counted). Admission
 // is one atomic counter: there is no queue to fill, so "full" means
-// PredictDepth predictions are running right now. Callers check the
+// predictCap predictions are running right now. Callers check the
 // shutdown latch first.
 func (s *Server) admitPredict() bool {
-	if s.predictsInflight.Add(1) > int64(s.opts.PredictDepth) {
+	if s.predictsInflight.Add(1) > s.predictCap {
 		s.predictsInflight.Add(-1)
 		s.predictsShed.Add(1)
 		return false
