@@ -257,6 +257,51 @@ func TestLanePoolCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestLanePoolMaxWaitRearms pins the lane worker's one reused wait timer:
+// three lone sessions, each submitted after the previous one was applied,
+// are each flushed as a partial batch by MaxWait, so the timer re-arms on
+// every wait. The wait path of fillBatch allocates nothing.
+func TestLanePoolMaxWaitRearms(t *testing.T) {
+	const wait = 5 * time.Millisecond
+	pool, err := NewLanePool(testModel(), NewKVStore(), LaneConfig{Lanes: 1, Depth: 4, MaxBatch: 4, MaxWait: wait})
+	if err != nil {
+		t.Fatalf("NewLanePool: %v", err)
+	}
+	defer pool.Close()
+	for i := 1; i <= 3; i++ {
+		t0 := time.Now()
+		pool.Submit(DueSession{UserID: i, Start: synth.DefaultStart + int64(i), Cat: []int{1, 2}})
+		synced := make(chan struct{})
+		go func() {
+			pool.Sync()
+			close(synced)
+		}()
+		select {
+		case <-synced:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("wait %d: the partial batch was never flushed", i)
+		}
+		if d := time.Since(t0); d < wait {
+			t.Fatalf("wait %d: flushed after %v, before MaxWait %v", i, d, wait)
+		}
+		if got := pool.Batches(); got != int64(i) {
+			t.Fatalf("wait %d: %d batches, want %d", i, got, i)
+		}
+	}
+
+	q := make(chan DueSession)
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	batch := make([]DueSession, 1, 2)
+	allocs := testing.AllocsPerRun(20, func() {
+		batch = batch[:1]
+		fillBatch(q, &batch, 2, 50*time.Microsecond, timer)
+	})
+	if allocs != 0 {
+		t.Fatalf("fillBatch wait path: %v allocs per call, want 0", allocs)
+	}
+}
+
 // TestParallelStreamProcessorConcurrent drives one processor from many
 // goroutines at once (one goroutine per user, so per-user event order stays
 // well defined) and checks every session is finalised exactly once.

@@ -95,9 +95,14 @@ func NewLanePool(model *core.Model, store Store, cfg LaneConfig) (*LanePool, err
 func (lp *LanePool) run(lane chan DueSession, fin *BatchFinalizer) {
 	defer lp.workers.Done()
 	batch := make([]DueSession, 0, lp.maxBatch)
+	// One stopped wait timer per worker, re-armed by each fillBatch wait.
+	// With go 1.24 timer semantics Stop and Reset never leave a stale fire
+	// in the channel, so no drain is needed between waits.
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	for d := range lane {
 		batch = append(batch[:0], d)
-		fillBatch(lane, &batch, lp.maxBatch, lp.maxWait)
+		fillBatch(lane, &batch, lp.maxBatch, lp.maxWait, timer)
 		fin.Finalize(batch)
 		lp.batches.Add(1)
 		lp.updatesRun.Add(int64(len(batch)))
@@ -111,9 +116,10 @@ func (lp *LanePool) run(lane chan DueSession, fin *BatchFinalizer) {
 }
 
 // fillBatch coalesces queued items into batch: greedily take whatever is
-// already queued, then wait up to maxWait for a fuller flush. It returns
-// early when the batch fills or the queue closes.
-func fillBatch(q chan DueSession, batch *[]DueSession, maxBatch int, maxWait time.Duration) {
+// already queued, then wait up to maxWait for a fuller flush, on timer,
+// which it leaves stopped. It returns early when the batch fills or the
+// queue closes.
+func fillBatch(q chan DueSession, batch *[]DueSession, maxBatch int, maxWait time.Duration, timer *time.Timer) {
 greedy:
 	for len(*batch) < maxBatch {
 		select {
@@ -129,7 +135,7 @@ greedy:
 	if maxWait <= 0 || len(*batch) >= maxBatch {
 		return
 	}
-	timer := time.NewTimer(maxWait)
+	timer.Reset(maxWait)
 	defer timer.Stop()
 	for len(*batch) < maxBatch {
 		select {
