@@ -33,6 +33,9 @@
 //   - internal/server — request-driven online serving tier: HTTP/JSON
 //     and wire fronts over serving's ingest front and lane pool, with
 //     predicts answered inline on the goroutine that read them (§9)
+//   - internal/loadgen — the load client that drives it: replay-log
+//     builders and RunLoad over HTTP/JSON or the wire protocol, one
+//     worker, retry and predict path for both
 //   - internal/cluster — user-sharded serving cluster: consistent-hash
 //     ring, forwarding/aggregating router with per-route deadlines,
 //     retries, per-replica circuit breakers and degraded predicts,
