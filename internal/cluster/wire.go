@@ -141,6 +141,48 @@ type wireInbound struct {
 	// results collects the owners' acks for one event frame. It holds one
 	// slot per replica and is re-made only when a reshard grows the ring.
 	results chan wireEventResult
+	// fwd feeds the connection's long-lived forwarders, one per owner of a
+	// frame beyond the first: fwd[0] sends the second owner's sub-batch,
+	// fwd[1] the third's, and so on. A forwarder starts the first time a
+	// frame has that many owners and is stopped and joined when the
+	// connection ends (stopForwarders).
+	fwd   []chan wireForward
+	fwdWG sync.WaitGroup
+}
+
+// wireForward is one owner sub-batch handed to a forwarder, with the
+// channel its ack goes back on.
+type wireForward struct {
+	results chan<- wireEventResult
+	base    string
+	n       int
+	events  []byte
+}
+
+// forward hands job to the k-th forwarder, starting it on first use.
+func (in *wireInbound) forward(r *Router, k int, job wireForward) {
+	for len(in.fwd) <= k {
+		jobs := make(chan wireForward, 1)
+		in.fwd = append(in.fwd, jobs)
+		in.fwdWG.Add(1)
+		go func() {
+			defer in.fwdWG.Done()
+			for j := range jobs {
+				j.results <- r.sendWireEvents(j.base, in.lane, j.n, j.events)
+			}
+		}()
+	}
+	in.fwd[k] <- job
+}
+
+// stopForwarders stops the connection's forwarders and waits for them.
+// They are idle: event frames are handled synchronously, so every job
+// has been answered before the read loop returns.
+func (in *wireInbound) stopForwarders() {
+	for _, jobs := range in.fwd {
+		close(jobs)
+	}
+	in.fwdWG.Wait()
 }
 
 // serveWireConn runs one inbound connection. Event frames are handled
@@ -154,6 +196,7 @@ func (r *Router) serveWireConn(conn net.Conn, lane uint64) {
 
 	br := bufio.NewReaderSize(conn, 64<<10)
 	in := &wireInbound{fw: wire.NewWriter(bufio.NewWriterSize(conn, 64<<10)), lane: lane}
+	defer in.stopForwarders()
 
 	if wire.AcceptHello(br, in.fw) != nil {
 		return
@@ -214,11 +257,11 @@ func statusRank(s byte) int {
 // routeWireEvents splices one inbound batch by ring owner and forwards
 // the sub-batches concurrently, answering with the worst ack. The first
 // owner's sub-batch is forwarded on the connection's own goroutine, each
-// other one on a goroutine of its own. Returns false when the connection
-// must drop (malformed batch — the stream cannot be trusted). Forwarding
-// happens under mu.RLock for the same reason as the HTTP handler: a
-// reshard cannot swap the ring while a batch split by the old ring is
-// still landing.
+// other one by one of the connection's forwarders. Returns false when
+// the connection must drop (malformed batch — the stream cannot be
+// trusted). Forwarding happens under mu.RLock for the same reason as the
+// HTTP handler: a reshard cannot swap the ring while a batch split by the
+// old ring is still landing.
 func (r *Router) routeWireEvents(in *wireInbound, reqID uint64, batch []byte) bool {
 	r.mu.RLock()
 	ring := r.ring
@@ -242,10 +285,8 @@ func (r *Router) routeWireEvents(in *wireInbound, reqID uint64, batch []byte) bo
 			first = i
 			continue
 		}
+		in.forward(r, others, wireForward{results: results, base: ring.Replica(i), n: n, events: events})
 		others++
-		go func(base string, n int, events []byte) {
-			results <- r.sendWireEvents(base, in.lane, n, events)
-		}(ring.Replica(i), n, events)
 	}
 	worst := wireEventResult{status: wire.StatusOK}
 	accepted := 0
@@ -261,7 +302,7 @@ func (r *Router) routeWireEvents(in *wireInbound, reqID uint64, batch []byte) bo
 	}
 	for i := 0; i < others; i++ {
 		// Collecting under RLock is the drain barrier (see above); the
-		// splicer's buffers also stay untouched until every goroutine
+		// splicer's buffers also stay untouched until every forwarder
 		// reading them has answered.
 		merge(<-results) //pplint:allow lockcheck
 	}

@@ -301,8 +301,10 @@ func (w *loadWorker) samplePredicts(log []ReplayEvent, stop <-chan struct{}) {
 	}
 }
 
-// run replays the worker's sessions: coalesce events into posts (keeping
-// each session's start+access pair whole), pace if open-loop.
+// run replays the worker's sessions: coalesce events into posts, pace if
+// open-loop. A post is flushed only between sessions, once it holds at
+// least EventsPerPost events, so a session's start+access pair always
+// rides one post whole.
 func (w *loadWorker) run(start time.Time) {
 	perWorker := w.opts.RatePerSec / float64(w.opts.Concurrency)
 	var count, starts int
@@ -310,11 +312,6 @@ func (w *loadWorker) run(start time.Time) {
 		if perWorker > 0 {
 			due := start.Add(time.Duration(float64(sent) / perWorker * float64(time.Second)))
 			time.Sleep(time.Until(due))
-		}
-		// Keep the pair atomic: flush first if it would not fit whole.
-		if count+2 > w.opts.EventsPerPost+1 {
-			w.post(count, starts)
-			count, starts = 0, 0
 		}
 		w.tr.add(ev)
 		count, starts = count+1, starts+1

@@ -217,9 +217,9 @@ func TestBatchedSyncVisibility(t *testing.T) {
 }
 
 // TestFinalizeAllocs pins what the finaliser allocates per session — the
-// key string, the store's Get copy and its Put copy — which the benchmark's
-// allocs_per_session (bound 2 %) rests on. Nothing may allocate per group,
-// per wave or per tier adapter.
+// key string and the store's Get copy; the Put overwrites the stored state
+// in place — which the benchmark's allocs_per_session (bound 2 %) rests
+// on. Nothing may allocate per group, per wave or per tier adapter.
 func TestFinalizeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins are meaningless under the race detector")
@@ -242,8 +242,8 @@ func TestFinalizeAllocs(t *testing.T) {
 			fin.Finalize(due) // warm the store and the finaliser's buffers
 			perSession := testing.AllocsPerRun(100, func() { fin.Finalize(due) }) / sessions
 			t.Logf("%s batch %d: %.3f allocs/session", tier, batch, perSession)
-			if perSession > 3 {
-				t.Errorf("%s batch %d: %.3f allocs/session, want <= 3 (key, Get copy, Put copy)", tier, batch, perSession)
+			if perSession > 2 {
+				t.Errorf("%s batch %d: %.3f allocs/session, want <= 2 (key, Get copy)", tier, batch, perSession)
 			}
 		}
 	}

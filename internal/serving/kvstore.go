@@ -49,15 +49,21 @@ func (s *KVStore) Get(key string) ([]byte, bool) {
 	return out, true
 }
 
-// Put stores a copy of value under key.
+// Put stores a copy of value under key, overwriting a stored value of
+// the same length in place (see Store).
 func (s *KVStore) Put(key string, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.puts++
 	s.bytesPut += int64(len(value))
+	old, ok := s.data[key]
+	if ok && len(old) == len(value) {
+		copy(old, value)
+		return
+	}
 	v := make([]byte, len(value))
 	copy(v, value)
-	if old, ok := s.data[key]; ok {
+	if ok {
 		s.bytesStored -= int64(len(key) + len(old))
 	}
 	s.bytesStored += int64(len(key) + len(v))

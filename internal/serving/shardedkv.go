@@ -14,6 +14,10 @@ import (
 // and Get must return a caller-owned copy: the finalisation hot path
 // reuses its encode buffer across Puts, so a retaining store would see
 // every state silently overwritten by the next session on the same lane.
+// In return a store may overwrite a stored value in place when a Put
+// replaces it with one of the same length (KVStore and ShardedKVStore
+// do): Get copies under the store's lock, so no caller ever sees the
+// bytes change under it.
 //
 // Keys exists for sweepers and restart checks (it snapshots the resident
 // keyset, in no particular order); it is not a hot-path operation.
@@ -118,16 +122,25 @@ func (s *ShardedKVStore) Get(key string) ([]byte, bool) {
 	return out, true
 }
 
-// Put stores a copy of value under key.
+// Put stores a copy of value under key. A key that already holds a value
+// of the same length is overwritten in place: no caller can hold the old
+// bytes, because Get copies under the lock, so a steady-state state
+// update costs no allocation and leaves BytesStored as it is.
 func (s *ShardedKVStore) Put(key string, value []byte) {
 	s.puts.Add(1)
 	s.bytesPut.Add(int64(len(value)))
+	sh := s.shard(key)
+	sh.mu.Lock()
+	old, ok := sh.data[key]
+	if ok && len(old) == len(value) {
+		copy(old, value)
+		sh.mu.Unlock()
+		return
+	}
 	v := make([]byte, len(value))
 	copy(v, value)
 	delta := int64(len(key) + len(v))
-	sh := s.shard(key)
-	sh.mu.Lock()
-	if old, ok := sh.data[key]; ok {
+	if ok {
 		delta -= int64(len(key) + len(old))
 	}
 	sh.data[key] = v

@@ -109,3 +109,35 @@ func TestServiceColdStartAndDecodeFailureCounters(t *testing.T) {
 		t.Fatalf("warm: cold=%d fail=%d", svc.ColdStarts.Load(), svc.DecodeFailures.Load())
 	}
 }
+
+// TestShardedKVPutOverwriteAllocs pins the in-place overwrite: replacing a
+// stored value with one of the same length — every state update after a
+// user's first — allocates nothing, leaves BytesStored as it was, and a
+// value handed out by an earlier Get keeps its bytes.
+func TestShardedKVPutOverwriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are meaningless under the race detector")
+	}
+	for name, s := range storeImpls() {
+		t.Run(name, func(t *testing.T) {
+			const key = "h:12345"
+			val := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+			s.Put(key, val)
+			before, _ := s.Get(key)
+			stored := s.Stats().BytesStored
+			val[0] = 9
+			if allocs := testing.AllocsPerRun(100, func() { s.Put(key, val) }); allocs != 0 {
+				t.Errorf("same-length overwrite: %v allocs/Put, want 0", allocs)
+			}
+			if got := s.Stats().BytesStored; got != stored {
+				t.Errorf("BytesStored %d after overwrites, want %d", got, stored)
+			}
+			if got, _ := s.Get(key); got[0] != 9 {
+				t.Errorf("overwrite lost: stored %v", got)
+			}
+			if before[0] != 1 {
+				t.Errorf("a value returned by Get changed under its caller: %v", before)
+			}
+		})
+	}
+}

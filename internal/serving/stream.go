@@ -2,6 +2,7 @@ package serving
 
 import (
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/nn"
@@ -79,9 +80,21 @@ type StreamProcessor struct {
 	// the finalisation timer fires.
 	Epsilon int64
 
-	buffers map[string]*DueSession
-	timers  timerHeap
-	now     int64
+	// In-flight sessions are held by value: index maps a session ID to
+	// its slot in slab, and free lists the slots to reuse, so at steady
+	// state a session costs no allocation of its own.
+	index  map[string]int32
+	slab   []DueSession
+	free   []int32
+	timers timerHeap
+	now    int64
+	// ids and cats are append-only arenas for the session IDs (map keys
+	// and timer IDs) and the start categories the processor must own. A
+	// full arena is replaced, never reused, so a string or slice that
+	// points into it stays valid for as long as anything holds it — a sink
+	// that keeps DueSessions included — and the GC frees the arena after.
+	ids  strings.Builder
+	cats []int
 
 	// sink, when set, receives due sessions instead of the inline
 	// finaliser.
@@ -104,7 +117,7 @@ func NewStreamProcessor(model *core.Model, store Store) *StreamProcessor {
 		model:   model,
 		store:   store,
 		Epsilon: core.DefaultEpsilon,
-		buffers: make(map[string]*DueSession),
+		index:   make(map[string]int32),
 		fin:     newFinalizer(model, store, 1, nn.TierF64),
 	}
 }
@@ -144,8 +157,17 @@ func (p *StreamProcessor) SetPrecision(t nn.PrecisionTier) error {
 	return nil
 }
 
-// hiddenKey is the per-user KV key.
-func hiddenKey(userID int) string { return "h:" + strconv.Itoa(userID) }
+// hiddenKey is the per-user KV key, rendered on the stack and converted
+// once: one allocation whatever the number of digits.
+func hiddenKey(userID int) string {
+	var buf [24]byte
+	return string(appendHiddenKey(buf[:0], userID))
+}
+
+// appendHiddenKey appends the bytes of hiddenKey(userID) to dst.
+func appendHiddenKey(dst []byte, userID int) []byte {
+	return strconv.AppendInt(append(dst, 'h', ':'), int64(userID), 10)
+}
 
 // HiddenKey exposes the per-user KV key to the cluster tier: a user's ring
 // position is the hash of their hidden-state key, so routing a user and
@@ -158,8 +180,7 @@ func HiddenKey(userID int) string { return hiddenKey(userID) }
 // equivalence against the string path.
 func UserKeyHash(userID int) uint32 {
 	var buf [24]byte
-	b := append(buf[:0], 'h', ':')
-	b = strconv.AppendInt(b, int64(userID), 10)
+	b := appendHiddenKey(buf[:0], userID)
 	const (
 		offset = 2166136261
 		prime  = 16777619
@@ -179,15 +200,18 @@ func (p *StreamProcessor) Advance(ts int64) {
 	for len(p.timers) > 0 && p.timers[0].fireAt <= ts {
 		e := p.timers.pop()
 		p.now = e.fireAt
-		buf, ok := p.buffers[e.sessionID]
+		i, ok := p.index[e.sessionID]
 		if !ok {
 			continue
 		}
-		delete(p.buffers, e.sessionID)
+		delete(p.index, e.sessionID)
+		d := p.slab[i]
+		p.slab[i] = DueSession{}
+		p.free = append(p.free, i)
 		if p.sink != nil {
-			p.sink(*buf)
+			p.sink(d)
 		} else {
-			p.due = append(p.due, *buf)
+			p.due = append(p.due, d)
 		}
 	}
 	if len(p.due) > 0 {
@@ -201,17 +225,27 @@ func (p *StreamProcessor) Advance(ts int64) {
 }
 
 // OnSessionStart records the context of a new session and arms its
-// finalisation timer.
+// finalisation timer. A start whose ID is still pending replaces the
+// buffered session; the first armed timer finalises it. The processor
+// keeps copies of sessionID and cat, so the caller may reuse both.
 func (p *StreamProcessor) OnSessionStart(sessionID string, userID int, ts int64, cat []int) {
 	p.Advance(ts)
-	p.buffers[sessionID] = &DueSession{
-		UserID: userID,
-		Start:  ts,
-		Cat:    append([]int(nil), cat...),
+	id := p.intern(sessionID)
+	i, ok := p.index[sessionID]
+	if !ok {
+		if n := len(p.free); n > 0 {
+			i = p.free[n-1]
+			p.free = p.free[:n-1]
+		} else {
+			i = int32(len(p.slab))
+			p.slab = append(p.slab, DueSession{})
+		}
+		p.index[id] = i
 	}
+	p.slab[i] = DueSession{UserID: userID, Start: ts, Cat: p.copyCat(cat)}
 	p.timers.push(timerEntry{
 		fireAt:    ts + p.model.Schema.SessionLength + p.Epsilon,
-		sessionID: sessionID,
+		sessionID: id,
 	})
 }
 
@@ -220,9 +254,40 @@ func (p *StreamProcessor) OnSessionStart(sessionID string, userID int, ts int64,
 // buffering semantics).
 func (p *StreamProcessor) OnAccess(sessionID string, ts int64) {
 	p.Advance(ts)
-	if buf, ok := p.buffers[sessionID]; ok {
-		buf.Accessed = true
+	if i, ok := p.index[sessionID]; ok {
+		p.slab[i].Accessed = true
 	}
+}
+
+// Arena sizes: about 4 KiB of session IDs and 1 024 category ints each.
+const (
+	idArena  = 4 << 10
+	catArena = 1 << 10
+)
+
+// intern returns a copy of id held by the ID arena.
+func (p *StreamProcessor) intern(id string) string {
+	if p.ids.Cap()-p.ids.Len() < len(id) {
+		p.ids = strings.Builder{}
+		p.ids.Grow(max(idArena, len(id)))
+	}
+	n := p.ids.Len()
+	p.ids.WriteString(id)
+	return p.ids.String()[n:]
+}
+
+// copyCat returns a copy of cat held by the category arena, capped so
+// that an append by its holder cannot reach the next session's slice.
+func (p *StreamProcessor) copyCat(cat []int) []int {
+	if len(cat) == 0 {
+		return nil
+	}
+	if cap(p.cats)-len(p.cats) < len(cat) {
+		p.cats = make([]int, 0, max(catArena, len(cat)))
+	}
+	n := len(p.cats)
+	p.cats = append(p.cats, cat...)
+	return p.cats[n:len(p.cats):len(p.cats)]
 }
 
 // Flush fires all outstanding timers regardless of the clock (end of
@@ -241,4 +306,4 @@ func (p *StreamProcessor) Flush() {
 }
 
 // Pending returns the number of in-flight sessions.
-func (p *StreamProcessor) Pending() int { return len(p.buffers) }
+func (p *StreamProcessor) Pending() int { return len(p.index) }

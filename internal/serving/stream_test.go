@@ -105,3 +105,48 @@ func TestSinkKeepsCat(t *testing.T) {
 func sameDue(a, b DueSession) bool {
 	return a.UserID == b.UserID && a.Start == b.Start && a.Accessed == b.Accessed && slices.Equal(a.Cat, b.Cat)
 }
+
+// TestStreamIngestAllocs pins the ingest front's steady state: a start and
+// an access per session, with IDs handed over as []byte the way the wire
+// decoder has them, cost no allocation per session beyond the amortised
+// arena refills (one per ~4 KiB of IDs and per ~1 024 category ints).
+func TestStreamIngestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are meaningless under the race detector")
+	}
+	m := testModel()
+	window := m.Schema.SessionLength + core.DefaultEpsilon
+	p := NewStreamProcessor(m, NewKVStore())
+	delivered := 0
+	p.SetSink(func(DueSession) { delivered++ })
+
+	ids := make([][]byte, 4096)
+	for i := range ids {
+		ids[i] = fmt.Appendf(nil, "u%d-s%d", i%97, i)
+	}
+	cat := []int{1, 2}
+	step := window / 64 // about 64 sessions in flight
+	ts := synth.DefaultStart
+	next := 0
+	const perRun = 1000
+	ingest := func() {
+		for range perRun {
+			id := ids[next%len(ids)]
+			next++
+			ts += step
+			p.OnSessionStart(string(id), next%97, ts, cat)
+			p.OnAccess(string(id), ts+1)
+		}
+	}
+	for range 10 {
+		ingest() // grow the slab, the free list, the map and the timer heap
+	}
+	perSession := testing.AllocsPerRun(50, ingest) / perRun
+	t.Logf("%.4f allocs/session, %d pending", perSession, p.Pending())
+	if perSession >= 0.01 {
+		t.Errorf("%.4f allocs/session, want < 0.01 (arena refills only)", perSession)
+	}
+	if delivered == 0 {
+		t.Fatal("no session was delivered")
+	}
+}
